@@ -25,6 +25,16 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Ledger smoke: the benchmark harness under ledger/ is a cargo
+# workspace of its own that calls the core and serve APIs by path. Its
+# smoke test runs every workload at --smoke scale, offline, against a
+# daemon it builds itself (about 10 s once built), so an API change
+# that breaks the harness fails here rather than in a benchmark run.
+# Build outputs go where ledger/run.sh puts them.
+echo "==> ledger smoke"
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
+    cargo test --release --manifest-path ledger/Cargo.toml
+
 # Serving-layer smoke: drive the objectrunner-serve daemon through the
 # full wrapper lifecycle over its line-delimited JSON protocol —
 # induce a golden source, extract twice from the cache (the second

@@ -41,7 +41,6 @@ const SOURCE: &str = "bench-books";
 fn service(store_dir: PathBuf) -> Service {
     Service::new(ServeConfig {
         store_dir,
-        threads: Some(1),
         ..ServeConfig::default()
     })
 }

@@ -47,9 +47,10 @@
 //!   Annotate/Sample → Wrap → Extract) with per-stage timings.
 //! * [`exec`] — the deterministic scoped-thread executor driving the
 //!   per-page and per-support fan-out.
-//! * [`stream`] — the memory-bounded streaming extraction path: apply
-//!   an induced wrapper to an iterator of pages with a bounded
-//!   reorder window, for crawls too large to materialize.
+//! * [`stream`] — the one extract-only path: a per-page Parse → Clean →
+//!   main-block replay → Extract function and the bounded-window driver
+//!   that runs it over an iterator of pages, behind both
+//!   [`extract_stream`] and `pipeline::extract_only`.
 
 pub mod annotate;
 pub mod dedup;

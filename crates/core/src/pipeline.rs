@@ -18,12 +18,11 @@
 
 use crate::annotate::{AnnotatedPage, Annotator};
 use crate::eqclass::EqConfig;
-use crate::exec::Executor;
+use crate::exec::{resolve_threads, Executor};
 use crate::roles::DiffConfig;
 use crate::sample::{select_sample_timed_with, SampleConfig, SampleError, SampleStrategy};
-use crate::stage::{
-    apply_block_stage, clean_stage, extract_stage, parse_stage, segment_stage, Stage, StageTiming,
-};
+use crate::stage::{clean_stage, extract_stage, parse_stage, segment_stage, Stage, StageTiming};
+use crate::stream::{drive, process_page, WINDOW_PER_THREAD};
 use crate::wrapper::{generate_wrapper, Wrapper, WrapperError};
 use objectrunner_html::{CleanOptions, Document};
 use objectrunner_knowledge::recognizer::RecognizerSet;
@@ -31,7 +30,7 @@ use objectrunner_obs::{MetricsSnapshot, Obs, Span};
 use objectrunner_segment::{LayoutOptions, MainBlockChoice};
 use objectrunner_sod::{Instance, Sod};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
@@ -283,6 +282,15 @@ pub fn extract_only<S: AsRef<str>>(
     )
 }
 
+/// The steps of `stream::process_page`, in its timing order, with the
+/// span each reports under.
+const FUSED_STEPS: [(Stage, &str); 4] = [
+    (Stage::Parse, "stage.parse"),
+    (Stage::Clean, "stage.clean"),
+    (Stage::Segment, "stage.segment"),
+    (Stage::Extract, "stage.extract"),
+];
+
 /// [`extract_only`] with tracing/metrics: emits a `pipeline.extract`
 /// span tree (attached under `trace_context` when given) and
 /// accumulates the run into `obs`'s registry.
@@ -292,6 +300,13 @@ pub fn extract_only<S: AsRef<str>>(
 /// batching delay); when given it is stamped on the root span, so a
 /// trace splits end-to-end latency into queue wait vs service time
 /// (the span's own duration).
+///
+/// Every page runs through the one per-page chain
+/// (`stream::process_page`) on the streaming driver, so the
+/// steps are fused per page rather than staged and have no wall clock
+/// of their own: each step's timing entry carries its summed per-page
+/// time as both wall and CPU, and its `stage.*` child span carries it
+/// as CPU.
 #[allow(clippy::too_many_arguments)]
 pub fn extract_only_with<S: AsRef<str>>(
     wrapper: &Wrapper,
@@ -303,7 +318,6 @@ pub fn extract_only_with<S: AsRef<str>>(
     trace_context: Option<(u64, u64)>,
     queue_wait_micros: Option<u64>,
 ) -> ExtractOutcome {
-    let exec = Executor::from_env(threads);
     let mut root = match trace_context {
         Some((trace, parent)) => obs.span_in(trace, parent, "pipeline.extract"),
         None => obs.trace("pipeline.extract"),
@@ -313,31 +327,43 @@ pub fn extract_only_with<S: AsRef<str>>(
         root.attr_u64("queue_wait_micros", wait);
     }
     let refs: Vec<&str> = pages.iter().map(AsRef::as_ref).collect();
-    let parse_span = root.child("stage.parse");
-    let (mut docs, parse_timing) = parse_stage(&exec, &refs);
-    finish_stage_span(parse_span, &parse_timing);
-    let mut timings = vec![parse_timing];
-    let clean_span = root.child("stage.clean");
-    timings.push(clean_stage(&exec, &mut docs, clean));
-    finish_stage_span(clean_span, timings.last().expect("just pushed"));
-    if let Some(choice) = main_block {
-        let segment_span = root.child("stage.segment");
-        timings.push(apply_block_stage(&exec, &mut docs, choice));
-        finish_stage_span(segment_span, timings.last().expect("just pushed"));
+    let mut docs = Vec::with_capacity(refs.len());
+    let mut per_page = Vec::with_capacity(refs.len());
+    let mut steps = [Duration::ZERO; 4];
+    let run = drive(
+        refs,
+        resolve_threads(threads),
+        WINDOW_PER_THREAD,
+        |_, html, parser| process_page(html, parser, wrapper, main_block, clean),
+        |_, page| {
+            for (total, step) in steps.iter_mut().zip(page.steps) {
+                *total += step;
+            }
+            docs.push(page.doc);
+            per_page.push(page.objects);
+        },
+    );
+    let mut stage_timings = Vec::with_capacity(steps.len());
+    for ((stage, span_name), d) in FUSED_STEPS.into_iter().zip(steps) {
+        if stage == Stage::Segment && main_block.is_none() {
+            continue;
+        }
+        let timing = StageTiming {
+            stage,
+            wall_micros: d.as_micros(),
+            cpu_micros: d.as_micros(),
+        };
+        finish_stage_span(root.child(span_name), &timing);
+        stage_timings.push(timing);
     }
-    let extract_start = Instant::now();
-    let extract_span = root.child("stage.extract");
-    let (per_page, extract_timing) = extract_stage(&exec, wrapper, &docs);
-    finish_stage_span(extract_span, &extract_timing);
-    timings.push(extract_timing);
     let stats = PipelineStats {
         pages: docs.len(),
         support_used: wrapper.support,
         conflict_splits: wrapper.conflict_splits,
         rounds: wrapper.rounds,
-        extraction_micros: extract_start.elapsed().as_micros(),
-        stage_timings: timings,
-        threads: exec.threads(),
+        extraction_micros: steps[3].as_micros(),
+        stage_timings,
+        threads: run.workers,
         ..PipelineStats::default()
     };
     obs.counter_add("objectrunner.core.pipeline.extract_only_runs", 1);
@@ -346,6 +372,7 @@ pub fn extract_only_with<S: AsRef<str>>(
         "objects",
         per_page.iter().map(Vec::len).sum::<usize>() as u64,
     );
+    root.add_cpu_micros(run.busy.as_micros() as u64);
     root.finish();
     ExtractOutcome {
         per_page,
@@ -358,130 +385,6 @@ pub fn extract_only_with<S: AsRef<str>>(
 fn finish_stage_span(mut span: Span, timing: &StageTiming) {
     span.add_cpu_micros(timing.cpu_micros as u64);
     span.finish();
-}
-
-/// Batched [`extract_only`]: apply one wrapper to several independent
-/// page sets in a single staged run.
-///
-/// The serving layer's request batcher uses this to amortize the
-/// per-call pipeline setup — executor construction, the four stage
-/// invocations with their span/timing scaffolding, metrics recording —
-/// across many `extract` requests against the same cached wrapper.
-/// The page sets are concatenated, every stage runs once over the
-/// union, and the results are split back along the request boundaries.
-///
-/// Because every stage is strictly per-page, each returned
-/// [`ExtractOutcome`]'s `per_page` and `docs` are **byte-identical**
-/// to what a separate [`extract_only_with`] call on that page set
-/// would have produced; only the stage *timings* differ (they report
-/// the shared batched run, duplicated into each outcome).
-#[allow(clippy::too_many_arguments)]
-pub fn extract_only_batch<S: AsRef<str>>(
-    wrapper: &Wrapper,
-    main_block: Option<&MainBlockChoice>,
-    clean: &CleanOptions,
-    batches: &[&[S]],
-    threads: Option<usize>,
-    obs: &Obs,
-    trace_context: Option<(u64, u64)>,
-    queue_wait_micros: Option<u64>,
-) -> Vec<ExtractOutcome> {
-    if batches.len() == 1 {
-        return vec![extract_only_with(
-            wrapper,
-            main_block,
-            clean,
-            batches[0],
-            threads,
-            obs,
-            trace_context,
-            queue_wait_micros,
-        )];
-    }
-    let exec = Executor::from_env(threads);
-    let mut root = match trace_context {
-        Some((trace, parent)) => obs.span_in(trace, parent, "pipeline.extract_batch"),
-        None => obs.trace("pipeline.extract_batch"),
-    };
-    root.attr_u64("requests", batches.len() as u64);
-    if let Some(wait) = queue_wait_micros {
-        root.attr_u64("queue_wait_micros", wait);
-    }
-    let refs: Vec<&str> = batches
-        .iter()
-        .flat_map(|pages| pages.iter().map(AsRef::as_ref))
-        .collect();
-    root.attr_u64("pages", refs.len() as u64);
-    let parse_span = root.child("stage.parse");
-    let (mut docs, parse_timing) = parse_stage(&exec, &refs);
-    finish_stage_span(parse_span, &parse_timing);
-    let mut timings = vec![parse_timing];
-    let clean_span = root.child("stage.clean");
-    timings.push(clean_stage(&exec, &mut docs, clean));
-    finish_stage_span(clean_span, timings.last().expect("just pushed"));
-    if let Some(choice) = main_block {
-        let segment_span = root.child("stage.segment");
-        timings.push(apply_block_stage(&exec, &mut docs, choice));
-        finish_stage_span(segment_span, timings.last().expect("just pushed"));
-    }
-    let extract_start = Instant::now();
-    let extract_span = root.child("stage.extract");
-    let (per_page, extract_timing) = extract_stage(&exec, wrapper, &docs);
-    finish_stage_span(extract_span, &extract_timing);
-    timings.push(extract_timing);
-    let extraction_micros = extract_start.elapsed().as_micros();
-    let threads_used = exec.threads();
-
-    // Record the shared run once — the batch is one pipeline
-    // invocation, however many requests it carried.
-    let batch_stats = PipelineStats {
-        pages: docs.len(),
-        support_used: wrapper.support,
-        conflict_splits: wrapper.conflict_splits,
-        rounds: wrapper.rounds,
-        extraction_micros,
-        stage_timings: timings.clone(),
-        threads: threads_used,
-        ..PipelineStats::default()
-    };
-    obs.counter_add("objectrunner.core.pipeline.extract_only_runs", 1);
-    obs.counter_add(
-        "objectrunner.core.pipeline.extract_batched_requests",
-        batches.len() as u64,
-    );
-    batch_stats.record_into(obs);
-    root.attr_u64(
-        "objects",
-        per_page.iter().map(Vec::len).sum::<usize>() as u64,
-    );
-    root.finish();
-
-    // Split along request boundaries; each outcome reports its own
-    // page count next to the shared stage timings.
-    let mut docs = docs.into_iter();
-    let mut per_page = per_page.into_iter();
-    batches
-        .iter()
-        .map(|pages| {
-            let n = pages.len();
-            let batch_docs: Vec<Document> = docs.by_ref().take(n).collect();
-            let batch_pages: Vec<Vec<Instance>> = per_page.by_ref().take(n).collect();
-            ExtractOutcome {
-                per_page: batch_pages,
-                docs: batch_docs,
-                stats: PipelineStats {
-                    pages: n,
-                    support_used: wrapper.support,
-                    conflict_splits: wrapper.conflict_splits,
-                    rounds: wrapper.rounds,
-                    extraction_micros,
-                    stage_timings: batch_stats.stage_timings.clone(),
-                    threads: threads_used,
-                    ..PipelineStats::default()
-                },
-            }
-        })
-        .collect()
 }
 
 /// What the §IV self-validation loop produced: the winning wrapper

@@ -139,23 +139,6 @@ pub fn segment_stage(
     (choice, StageTiming::record(Stage::Segment, start, busy))
 }
 
-/// Segment stage, replay half: apply a previously voted (persisted)
-/// main-block choice to every page without re-scoring or re-voting.
-/// This is the serving-layer fast path — a cached wrapper carries the
-/// choice it was induced with, so new pages of the same source simplify
-/// to the identical block.
-pub fn apply_block_stage(
-    exec: &Executor,
-    docs: &mut [Document],
-    choice: &MainBlockChoice,
-) -> StageTiming {
-    let start = Instant::now();
-    let busy = exec.for_each_mut(docs, |_, doc| {
-        let _ = simplify_to_main_block(doc, choice);
-    });
-    StageTiming::record(Stage::Segment, start, busy)
-}
-
 /// Extract stage: apply a wrapper to every page, fanned out per page.
 /// Returns per-page instances (page boundaries preserved) so callers
 /// can keep extraction paired with its page.

@@ -1,38 +1,41 @@
-//! Streaming, memory-bounded extraction for million-page crawls.
+//! The one extraction path: a per-page function and the driver that
+//! runs it.
 //!
-//! [`extract_stream`] is the crawl-scale sibling of
-//! [`crate::pipeline::extract_only`]: it applies an already-induced
-//! wrapper to an *iterator* of pages, delivering each page's instances
-//! to a sink callback the moment they are ready — in page order — and
-//! holding only a bounded window of pages in memory at once. Peak
-//! memory is `O(threads × window)` pages regardless of corpus size,
-//! where the batch path's is `O(corpus)`: it materializes every parsed
-//! [`Document`] before extraction begins.
+//! `process_page` takes one page through the extract-only chain —
+//! Parse → Clean → main-block replay → Extract — and times each step.
+//! `drive` runs a per-page function over an *iterator* of pages and
+//! hands each result to a sink on the caller's thread, **in page
+//! order**, holding only a bounded window of pages in memory at once.
+//! Every extract-only entry point is a thin shim over the two:
+//! [`extract_stream`] (crawl scale: instances to a sink, documents
+//! dropped) and [`crate::pipeline::extract_only_with`] (a page slice:
+//! instances and prepared documents collected), so the streamed output
+//! is identical to `extract_only` on the same pages by construction.
 //!
-//! Per-page preparation is byte-for-byte the batch path's — the same
-//! cleaning options, the same persisted main-block replay, the same
-//! wrapper application — so the streamed output is identical to
-//! `extract_only` on the same pages (pinned by the
-//! `stream_equivalence` integration suite). Each worker owns one
-//! [`PageParser`], whose arena is reset between pages: a million-page
-//! run allocates like a one-page run.
-//!
-//! Ordering and backpressure share one mutex: workers claim page
-//! indices from the source iterator, finished pages park in a reorder
-//! buffer, and the caller's thread drains the buffer in index order,
-//! invoking the sink outside the lock. Workers stall whenever
+//! Each worker owns one [`PageParser`], whose arena is reset between
+//! pages: a million-page run allocates like a one-page run. One worker
+//! runs inline on the caller's thread with no pool and no locks; more
+//! than one share a claim/reorder scheduler under one mutex: workers
+//! claim page indices from the source iterator, finished pages park in
+//! a reorder buffer, and the caller's thread drains the buffer in index
+//! order, invoking the sink outside the lock. Workers stall whenever
 //! `claimed - emitted` reaches the window, so one slow page cannot let
-//! the buffer grow without bound.
+//! the buffer grow without bound. Peak memory is
+//! `O(threads × window)` pages regardless of corpus size.
 
 use crate::exec::resolve_threads;
 use crate::wrapper::Wrapper;
-use objectrunner_html::{clean_document, CleanOptions, PageParser};
+use objectrunner_html::{clean_document, CleanOptions, Document, PageParser};
 use objectrunner_obs::Obs;
 use objectrunner_segment::{simplify_to_main_block, MainBlockChoice};
 use objectrunner_sod::Instance;
 use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Default in-flight pages per worker (see
+/// [`StreamConfig::window_per_thread`]).
+pub(crate) const WINDOW_PER_THREAD: usize = 4;
 
 /// Configuration for [`extract_stream`].
 #[derive(Debug, Clone)]
@@ -58,7 +61,7 @@ impl Default for StreamConfig {
     fn default() -> Self {
         StreamConfig {
             threads: None,
-            window_per_thread: 4,
+            window_per_thread: WINDOW_PER_THREAD,
             span_sample: 1024,
             obs: Obs::disabled(),
             trace_context: None,
@@ -77,7 +80,8 @@ pub struct StreamStats {
     pub threads: usize,
     /// End-to-end wall clock.
     pub wall_micros: u128,
-    /// Summed worker busy time (≈ CPU cost of the run).
+    /// Summed time spent in the per-page function, all workers — the
+    /// CPU cost of extraction, excluding the sink and scheduler waits.
     pub busy_micros: u128,
     /// Largest per-page text arena across all workers — the streaming
     /// path's memory high-water mark scales with the biggest page, not
@@ -107,21 +111,202 @@ const ARENA_BOUNDS: &[u64] = &[
     1 << 24,
 ];
 
-/// What one worker hands back when it exits.
-#[derive(Default)]
-struct WorkerExit {
-    busy_micros: u128,
-    arena_peak_bytes: usize,
+/// What one page yields from `process_page`.
+pub(crate) struct PageOutput {
+    /// The prepared (cleaned + simplified) document.
+    pub doc: Document,
+    /// The wrapper's instances on this page.
+    pub objects: Vec<Instance>,
+    /// Time spent in Parse, Clean, main-block replay and Extract, in
+    /// that order (replay is zero when there is no main block).
+    pub steps: [Duration; 4],
+}
+
+/// One page through the extract-only chain: Parse → Clean → main-block
+/// replay → Extract. The only place this chain exists; the cleaning
+/// options and the block replay are the ones the wrapper was induced
+/// with, so on pages of the unchanged template the output equals a
+/// fresh pipeline run's.
+pub(crate) fn process_page(
+    html: &str,
+    parser: &mut PageParser,
+    wrapper: &Wrapper,
+    main_block: Option<&MainBlockChoice>,
+    clean: &CleanOptions,
+) -> PageOutput {
+    let t0 = Instant::now();
+    let mut doc = parser.parse(html);
+    let t1 = Instant::now();
+    clean_document(&mut doc, clean);
+    let t2 = Instant::now();
+    if let Some(choice) = main_block {
+        let _ = simplify_to_main_block(&mut doc, choice);
+    }
+    let t3 = Instant::now();
+    let objects = wrapper.extract_document(&doc);
+    let t4 = Instant::now();
+    PageOutput {
+        doc,
+        objects,
+        steps: [t1 - t0, t2 - t1, t3 - t2, t4 - t3],
+    }
+}
+
+/// Totals of one `drive` run.
+pub(crate) struct DriveStats {
+    /// Pages consumed from the source.
+    pub pages: usize,
+    /// Workers the run used (the caller's thread counts as one).
+    pub workers: usize,
+    /// Summed time spent inside the per-page function.
+    pub busy: Duration,
+    /// Largest per-page parser arena across all workers.
+    pub arena_peak_bytes: usize,
 }
 
 /// Shared scheduler state: the source iterator, the reorder buffer,
 /// and the claim/emit cursors, all under one lock.
-struct State<I> {
+struct State<I, T> {
     source: I,
     claimed: usize,
     emitted: usize,
     source_done: bool,
-    ready: BTreeMap<usize, Vec<Instance>>,
+    ready: BTreeMap<usize, T>,
+}
+
+/// Run `work(index, html, parser)` over every page on up to `threads`
+/// workers and hand each result to `sink(index, result)` in page order
+/// on the caller's thread. Never starts more workers than the source's
+/// size hint says there are pages; one worker runs inline.
+pub(crate) fn drive<I, T, W, F>(
+    pages: I,
+    threads: usize,
+    window_per_thread: usize,
+    work: W,
+    mut sink: F,
+) -> DriveStats
+where
+    I: IntoIterator,
+    I::IntoIter: Send,
+    I::Item: AsRef<str> + Send,
+    T: Send,
+    W: Fn(usize, &str, &mut PageParser) -> T + Sync,
+    F: FnMut(usize, T),
+{
+    let source = pages.into_iter();
+    let workers = threads
+        .min(source.size_hint().1.unwrap_or(usize::MAX))
+        .max(1);
+    let mut run = DriveStats {
+        pages: 0,
+        workers,
+        busy: Duration::ZERO,
+        arena_peak_bytes: 0,
+    };
+
+    if workers == 1 {
+        let mut parser = PageParser::new();
+        for (i, page) in source.enumerate() {
+            let start = Instant::now();
+            let out = work(i, page.as_ref(), &mut parser);
+            run.busy += start.elapsed();
+            run.pages += 1;
+            sink(i, out);
+        }
+        run.arena_peak_bytes = parser.arena_peak_bytes();
+        return run;
+    }
+
+    let window = workers * window_per_thread.max(1);
+    let state = Mutex::new(State {
+        source,
+        claimed: 0,
+        emitted: 0,
+        source_done: false,
+        ready: BTreeMap::new(),
+    });
+    // Workers wait on `space` when the window is full; the caller's
+    // thread waits on `ready` for the next in-order page.
+    let space = Condvar::new();
+    let ready = Condvar::new();
+
+    std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers);
+        for _ in 0..workers {
+            handles.push(scope.spawn(|| {
+                let mut busy = Duration::ZERO;
+                let mut parser = PageParser::new();
+                loop {
+                    let claim = {
+                        let mut st = state.lock().expect("stream worker panicked");
+                        loop {
+                            if st.source_done {
+                                break None;
+                            }
+                            if st.claimed - st.emitted < window {
+                                match st.source.next() {
+                                    Some(page) => {
+                                        let i = st.claimed;
+                                        st.claimed += 1;
+                                        break Some((i, page));
+                                    }
+                                    None => {
+                                        st.source_done = true;
+                                        // Unblock everyone for shutdown.
+                                        space.notify_all();
+                                        ready.notify_all();
+                                        break None;
+                                    }
+                                }
+                            }
+                            st = space.wait(st).expect("stream worker panicked");
+                        }
+                    };
+                    let Some((i, page)) = claim else { break };
+                    let start = Instant::now();
+                    let out = work(i, page.as_ref(), &mut parser);
+                    busy += start.elapsed();
+                    let mut st = state.lock().expect("stream worker panicked");
+                    st.ready.insert(i, out);
+                    // Only the in-order page unblocks the consumer,
+                    // but waking it on any insert keeps this simple
+                    // and the consumer re-checks under the lock.
+                    ready.notify_all();
+                }
+                (busy, parser.arena_peak_bytes())
+            }));
+        }
+
+        // Consumer: drain the reorder buffer in index order on the
+        // caller's thread; the sink always runs outside the lock.
+        loop {
+            let next = {
+                let mut st = state.lock().expect("stream worker panicked");
+                loop {
+                    let i = st.emitted;
+                    if let Some(out) = st.ready.remove(&i) {
+                        st.emitted += 1;
+                        space.notify_all();
+                        break Some((i, out));
+                    }
+                    if st.source_done && st.emitted == st.claimed {
+                        break None;
+                    }
+                    st = ready.wait(st).expect("stream worker panicked");
+                }
+            };
+            let Some((i, out)) = next else { break };
+            run.pages += 1;
+            sink(i, out);
+        }
+
+        for handle in handles {
+            let (busy, arena_peak) = handle.join().expect("stream worker panicked");
+            run.busy += busy;
+            run.arena_peak_bytes = run.arena_peak_bytes.max(arena_peak);
+        }
+    });
+    run
 }
 
 /// Apply an induced wrapper to a stream of pages, invoking
@@ -143,7 +328,6 @@ where
     S: AsRef<str> + Send,
     F: FnMut(usize, Vec<Instance>),
 {
-    let threads = resolve_threads(config.threads);
     let obs = &config.obs;
     let start = Instant::now();
     let mut root = match config.trace_context {
@@ -151,126 +335,31 @@ where
         None => obs.trace("pipeline.extract_stream"),
     };
     let page_span_ctx = root.context();
-
-    let mut stats = StreamStats {
-        threads,
-        ..StreamStats::default()
+    let mut objects = 0;
+    let run = drive(
+        pages,
+        resolve_threads(config.threads),
+        config.window_per_thread,
+        |i, html, parser| {
+            let span = sampled_span(obs, config, page_span_ctx, i);
+            let out = process_page(html, parser, wrapper, main_block, clean).objects;
+            finish_page_span(span, &out);
+            out
+        },
+        |i, out| {
+            objects += out.len();
+            sink(i, out);
+        },
+    );
+    let stats = StreamStats {
+        pages: run.pages,
+        objects,
+        threads: run.workers,
+        wall_micros: start.elapsed().as_micros(),
+        busy_micros: run.busy.as_micros(),
+        arena_peak_bytes: run.arena_peak_bytes,
     };
 
-    if threads <= 1 {
-        // Inline path: no pool, no locks, one reusable parser.
-        let busy_start = Instant::now();
-        let mut parser = PageParser::new();
-        for (i, page) in pages.into_iter().enumerate() {
-            let span = sampled_span(obs, config, page_span_ctx, i);
-            let out = process_page(page.as_ref(), &mut parser, wrapper, main_block, clean);
-            finish_page_span(span, &out);
-            stats.pages += 1;
-            stats.objects += out.len();
-            sink(i, out);
-        }
-        stats.busy_micros = busy_start.elapsed().as_micros();
-        stats.arena_peak_bytes = parser.arena_peak_bytes();
-    } else {
-        let window = threads * config.window_per_thread.max(1);
-        let state = Mutex::new(State {
-            source: pages.into_iter(),
-            claimed: 0,
-            emitted: 0,
-            source_done: false,
-            ready: BTreeMap::new(),
-        });
-        // Workers wait on `space` when the window is full; the caller's
-        // thread waits on `ready` for the next in-order page.
-        let space = Condvar::new();
-        let ready = Condvar::new();
-        let exits: Mutex<Vec<WorkerExit>> = Mutex::new(Vec::with_capacity(threads));
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let busy_start = Instant::now();
-                    let mut parser = PageParser::new();
-                    loop {
-                        let claim = {
-                            let mut st = state.lock().expect("stream worker panicked");
-                            loop {
-                                if st.source_done {
-                                    break None;
-                                }
-                                if st.claimed - st.emitted < window {
-                                    match st.source.next() {
-                                        Some(page) => {
-                                            let i = st.claimed;
-                                            st.claimed += 1;
-                                            break Some((i, page));
-                                        }
-                                        None => {
-                                            st.source_done = true;
-                                            // Unblock everyone for shutdown.
-                                            space.notify_all();
-                                            ready.notify_all();
-                                            break None;
-                                        }
-                                    }
-                                }
-                                st = space.wait(st).expect("stream worker panicked");
-                            }
-                        };
-                        let Some((i, page)) = claim else { break };
-                        let span = sampled_span(obs, config, page_span_ctx, i);
-                        let out =
-                            process_page(page.as_ref(), &mut parser, wrapper, main_block, clean);
-                        finish_page_span(span, &out);
-                        let mut st = state.lock().expect("stream worker panicked");
-                        st.ready.insert(i, out);
-                        // Only the in-order page unblocks the consumer,
-                        // but waking it on any insert keeps this simple
-                        // and the consumer re-checks under the lock.
-                        ready.notify_all();
-                    }
-                    exits
-                        .lock()
-                        .expect("stream worker panicked")
-                        .push(WorkerExit {
-                            busy_micros: busy_start.elapsed().as_micros(),
-                            arena_peak_bytes: parser.arena_peak_bytes(),
-                        });
-                });
-            }
-
-            // Consumer: drain the reorder buffer in index order on the
-            // caller's thread; the sink always runs outside the lock.
-            loop {
-                let next = {
-                    let mut st = state.lock().expect("stream worker panicked");
-                    loop {
-                        let i = st.emitted;
-                        if let Some(out) = st.ready.remove(&i) {
-                            st.emitted += 1;
-                            space.notify_all();
-                            break Some((i, out));
-                        }
-                        if st.source_done && st.emitted == st.claimed {
-                            break None;
-                        }
-                        st = ready.wait(st).expect("stream worker panicked");
-                    }
-                };
-                let Some((i, out)) = next else { break };
-                stats.pages += 1;
-                stats.objects += out.len();
-                sink(i, out);
-            }
-        });
-
-        for exit in exits.into_inner().expect("stream worker panicked") {
-            stats.busy_micros += exit.busy_micros;
-            stats.arena_peak_bytes = stats.arena_peak_bytes.max(exit.arena_peak_bytes);
-        }
-    }
-
-    stats.wall_micros = start.elapsed().as_micros();
     if obs.is_enabled() {
         obs.counter_add("objectrunner.core.stream.runs", 1);
         obs.counter_add("objectrunner.core.stream.pages", stats.pages as u64);
@@ -290,24 +379,6 @@ where
     root.add_cpu_micros(stats.busy_micros as u64);
     root.finish();
     stats
-}
-
-/// One page through the extract-only preparation chain. Mirrors the
-/// batch stages byte-for-byte: Parse → Clean → Segment replay →
-/// Extract.
-fn process_page(
-    html: &str,
-    parser: &mut PageParser,
-    wrapper: &Wrapper,
-    main_block: Option<&MainBlockChoice>,
-    clean: &CleanOptions,
-) -> Vec<Instance> {
-    let mut doc = parser.parse(html);
-    clean_document(&mut doc, clean);
-    if let Some(choice) = main_block {
-        let _ = simplify_to_main_block(&mut doc, choice);
-    }
-    wrapper.extract_document(&doc)
 }
 
 /// The 1-in-N sampled per-page span (inert when not sampled).
@@ -521,5 +592,40 @@ mod tests {
         // Same template ⇒ the per-page arena high-water mark does not
         // grow with corpus size.
         assert_eq!(once.arena_peak_bytes, many.arena_peak_bytes);
+    }
+
+    #[test]
+    fn busy_time_excludes_the_sink_and_scheduler_waits() {
+        let (wrapper, main_block, clean, pages) = induce();
+        let sleep = std::time::Duration::from_millis(1);
+        for threads in [1, 2] {
+            let stats = extract_stream(
+                &wrapper,
+                main_block.as_ref(),
+                &clean,
+                pages.iter().map(String::as_str),
+                &StreamConfig {
+                    threads: Some(threads),
+                    ..StreamConfig::default()
+                },
+                |_, _| std::thread::sleep(sleep),
+            );
+            let slept = (sleep * pages.len() as u32).as_micros();
+            assert!(
+                stats.busy_micros < slept,
+                "threads={threads}: busy {} µs counts the sink's {slept} µs of sleep",
+                stats.busy_micros
+            );
+        }
+    }
+
+    #[test]
+    fn workers_never_outnumber_known_pages() {
+        let (wrapper, main_block, clean, pages) = induce();
+        let (got, stats) = streamed(&wrapper, main_block.as_ref(), &clean, &pages[..3], 8);
+        assert_eq!(got.len(), 3);
+        assert_eq!(stats.threads, 3);
+        let (_, one) = streamed(&wrapper, main_block.as_ref(), &clean, &pages[..1], 8);
+        assert_eq!(one.threads, 1, "a single page runs inline");
     }
 }

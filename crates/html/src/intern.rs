@@ -23,11 +23,10 @@
 //! with the distinct vocabulary of the corpus, which is the same
 //! asymptote the pre-interning code paid *per occurrence*.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
 
 // ------------------------------------------------------------ fxhash
@@ -246,14 +245,19 @@ fn paths() -> &'static RwLock<PathTable> {
     })
 }
 
-/// Counts [`PathId::child`] calls — i.e. path-interner probes. The
-/// NodeSignature O(N) test snapshots this to prove signature
-/// computation does no per-node path work after tree construction.
-static PATH_PROBES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Counts [`PathId::child`] calls — i.e. path-interner probes — on
+    /// this thread. The NodeSignature O(N) test snapshots this to prove
+    /// signature computation does no per-node path work after tree
+    /// construction; per-thread, so tests running in parallel cannot
+    /// move each other's count.
+    static PATH_PROBES: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Total number of [`PathId::child`] probes so far (diagnostic).
+/// Number of [`PathId::child`] probes this thread has made so far
+/// (diagnostic).
 pub fn path_probe_count() -> u64 {
-    PATH_PROBES.load(Ordering::Relaxed)
+    PATH_PROBES.with(Cell::get)
 }
 
 thread_local! {
@@ -272,7 +276,7 @@ impl PathId {
 
     /// The path `self/segment`, interned.
     pub fn child(self, segment: Symbol) -> PathId {
-        PATH_PROBES.fetch_add(1, Ordering::Relaxed);
+        PATH_PROBES.with(|n| n.set(n.get() + 1));
         if let Some(hit) = PATH_CACHE.with(|c| c.borrow().get(&(self, segment)).copied()) {
             return hit;
         }

@@ -116,17 +116,6 @@ pub fn parse_clean(input: &str) -> Document {
     doc
 }
 
-/// Parse a batch of HTML pages into documents, preserving order.
-///
-/// The batch entry point pipelines use: callers may hand the slice to
-/// concurrent workers — [`Document`] is `Send + Sync` (a `Vec`-backed
-/// arena with no interior mutability), and the interners behind
-/// [`Symbol`]/[`PathId`] are process-wide and thread-safe, so documents
-/// parsed on different threads remain structurally comparable.
-pub fn parse_batch<S: AsRef<str>>(pages: &[S]) -> Vec<Document> {
-    pages.iter().map(|p| parse(p.as_ref())).collect()
-}
-
 #[cfg(test)]
 mod lib_tests {
     use super::*;
@@ -139,17 +128,6 @@ mod lib_tests {
         assert_send_sync::<Document>();
         assert_send_sync::<Symbol>();
         assert_send_sync::<PathId>();
-    }
-
-    #[test]
-    fn parse_batch_matches_parse() {
-        let pages = ["<p>one</p>", "<ul><li>a<li>b</ul>"];
-        let batch = parse_batch(&pages);
-        assert_eq!(batch.len(), 2);
-        for (doc, page) in batch.iter().zip(pages) {
-            let solo = parse(page);
-            assert_eq!(to_html(doc, doc.root()), to_html(&solo, solo.root()));
-        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ objectrunner-serve — wrapper-serving daemon (line-delimited JSON)
 USAGE:
   objectrunner-serve [--store DIR] [--object-store DIR] [--threshold F] \\
                      [--min-reinduce-pages N] [--repair-floor F] \\
-                     [--empty-page-threshold F] [--threads N] [--listen ADDR]
+                     [--empty-page-threshold F] [--listen ADDR]
   objectrunner-serve seed-corpus --domain D --name NAME --out DIR \\
                      [--seed N] [--pages N] [--style K] [--drift S]
   objectrunner-serve extract-file --wrapper FILE --pages DIR
@@ -100,6 +100,8 @@ TELEMETRY FLAGS:
   --watch-interval MICROS     default tick interval for watch (1000000)
 
 Every response echoes a \"trace\" id joinable against the trace command.
+Each request runs start to finish on one thread: the stdin loop's, or
+with --listen the pool worker that took it.
 ";
 
 /// Pull `--flag value` out of an argument list.
@@ -150,15 +152,6 @@ fn serve(args: &[String]) -> i32 {
             Ok(v) => config.empty_page_threshold = v,
             Err(_) => {
                 eprintln!("bad --empty-page-threshold '{f}'");
-                return 2;
-            }
-        }
-    }
-    if let Some(n) = flag(args, "--threads") {
-        match n.parse() {
-            Ok(v) => config.threads = Some(v),
-            Err(_) => {
-                eprintln!("bad --threads '{n}'");
                 return 2;
             }
         }

@@ -40,9 +40,11 @@
 //! Two sources never contend; two requests against the *same* source
 //! serialize only their bookkeeping tails. [`Service::handle_batch`]
 //! is the pooled entry point: consecutive `extract` requests against
-//! one source amortize a single staged pipeline run (see
+//! one source share one registry lookup and one wrapper snapshot (see
 //! `shard::extract_batch`), while every other command handles
-//! line-at-a-time exactly as [`Service::handle_line`] does.
+//! line-at-a-time exactly as [`Service::handle_line`] does. Every
+//! request — extract, repair, induce — runs entirely on the pool
+//! worker that took it; no pipeline call spawns threads of its own.
 //!
 //! ## The drift lifecycle
 //!
@@ -95,6 +97,11 @@ use std::sync::{Arc, Mutex, RwLock};
 
 pub use crate::shard::WrapperState;
 
+/// Worker threads of every pipeline call a request makes: one. A
+/// request runs on the pool worker that took it — parallelism comes
+/// from the pool, never from threads nested inside a worker.
+pub(crate) const REQUEST_THREADS: Option<usize> = Some(1);
+
 /// Serving-layer configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -120,8 +127,6 @@ pub struct ServeConfig {
     pub coverage: f64,
     /// Sample size k for (re-)induction.
     pub sample_size: usize,
-    /// Worker threads (None = `OBJECTRUNNER_THREADS` / machine).
-    pub threads: Option<usize>,
     /// Directory of the durable object store (`--object-store`).
     /// `None` disables the sink and the query commands.
     pub object_store: Option<PathBuf>,
@@ -150,7 +155,6 @@ impl Default for ServeConfig {
             empty_page_threshold: 0.8,
             coverage: 0.2,
             sample_size: 12,
-            threads: None,
             object_store: None,
             slow_trace_micros: None,
             access_log: None,
@@ -337,10 +341,10 @@ impl Service {
     }
 
     /// Handle a pipelined burst of protocol lines, one response per
-    /// line in order. Consecutive `extract` requests against the same
-    /// source run as **one** staged pipeline (one parse/clean/extract
-    /// pass over the union of their pages — see `shard::extract_batch`)
-    /// with byte-identical per-request responses; every other line is
+    /// line in order, all on the calling thread. Consecutive `extract`
+    /// requests against the same source share one wrapper snapshot and
+    /// run in request order (see `shard::extract_batch`), with
+    /// byte-identical per-request responses; every other line is
     /// handled exactly as [`Service::handle_line`] would.
     pub fn handle_batch<S: AsRef<str>>(&self, lines: &[S], cache: &mut ReaderCache) -> Vec<String> {
         let arrival = self.shared.clock.monotonic_micros();
@@ -849,7 +853,7 @@ impl ServiceShared {
                 sample_size: self.config.sample_size,
                 ..SampleConfig::default()
             },
-            threads: self.config.threads,
+            threads: REQUEST_THREADS,
             obs: self.obs.clone(),
             trace_context: parent.filter(|s| s.is_enabled()).map(Span::context),
             ..PipelineConfig::default()

@@ -6,12 +6,12 @@
 //! everything that changes — drift bookkeeping, the suspect-page
 //! buffer, lifecycle state, repair and re-induction. The shards hang
 //! off a registry map that is itself a `Slot`, so the hot path of a
-//! cached `extract` — registry lookup, wrapper snapshot, the staged
-//! extraction pipeline, drift scoring — touches **no lock at all**:
+//! cached `extract` — registry lookup, wrapper snapshot, the per-page
+//! extraction chain, drift scoring — touches **no lock at all**:
 //!
 //! ```text
 //!   request ──> registry Slot ──> SourceShard ──> wrapper Slot ──> extract_only
-//!                (atomic load)                     (atomic load)    (pure)
+//!                (atomic load)                     (atomic load)   (one thread)
 //!                                                      │
 //!                          bookkeeping / repair ──> ShardMut lane (per-source mutex)
 //! ```
@@ -25,19 +25,19 @@
 //! request picks up the new revision with a single atomic load.
 //!
 //! Batched extraction: when the connection layer hands over several
-//! pipelined `extract` requests against the same source, they run as
-//! one staged pipeline ([`extract_only_batch`]) against one snapshot,
-//! then each request's drift bookkeeping replays sequentially through
-//! the mutation lane. If request *i* triggers a repair, the
-//! precomputed outcomes of requests *i+1…* are invalidated (their
-//! snapshot is no longer what a serial daemon would have used) and
-//! those requests re-extract individually against the new wrapper —
-//! so the batch's responses are byte-identical to the serial order.
+//! pipelined `extract` requests against the same source, they share one
+//! registry lookup and one wrapper snapshot, and run in request order
+//! on the pool worker that took them — each request one call of the
+//! extraction driver (`extract_only_with` on one thread) followed by its
+//! drift bookkeeping through the mutation lane. If request *i* triggers
+//! a repair, requests *i+1…* see the lane's version stamp move and
+//! re-extract against the new wrapper — so the batch's responses are
+//! byte-identical to the serial order.
 
-use crate::service::{err, instance_json, ServiceShared};
+use crate::service::{err, instance_json, ServiceShared, REQUEST_THREADS};
 use crate::slot::{Slot, SlotReader};
 use objectrunner_core::matching::drift_score;
-use objectrunner_core::pipeline::{extract_only_batch, extract_only_with, ExtractOutcome};
+use objectrunner_core::pipeline::{extract_only_with, ExtractOutcome};
 use objectrunner_core::wrapper::{repair_wrapper, RepairConfig};
 use objectrunner_objstore::{IngestContext, IngestObject};
 use objectrunner_obs::{Span, DRIFT_BUCKETS_MILLI, LATENCY_BUCKETS_MICROS};
@@ -254,9 +254,9 @@ struct PendingExtract {
 }
 
 /// Handle a run of `extract` requests against the same source as one
-/// batch: one wrapper snapshot, one staged pipeline over the union of
-/// their pages, then per-request drift bookkeeping in request order.
-/// `reqs.len() == 1` is the plain serial path.
+/// batch: one registry lookup and one wrapper snapshot, then each
+/// request's extraction and drift bookkeeping in request order, all on
+/// the calling thread. `reqs.len() == 1` is the plain serial path.
 pub(crate) fn extract_batch(
     shared: &ServiceShared,
     cache: &mut ReaderCache,
@@ -294,47 +294,22 @@ pub(crate) fn extract_batch(
     };
     let (snap_version, snap) = cache.wrapper(&shard);
 
-    // One staged pipeline over every valid request's pages. The
-    // batched run is byte-identical per request to separate runs —
-    // every stage is strictly per-page.
-    let batch_pages: Vec<&[String]> = pending
-        .iter()
-        .filter_map(|p| p.as_ref().ok().map(|p| p.pages.as_slice()))
-        .collect();
-    if batch_pages.is_empty() {
-        return pending
-            .iter()
-            .map(|p| err(p.as_ref().err().expect("all invalid")))
-            .collect();
-    }
-    let first_span = spans
-        .iter()
-        .zip(&pending)
-        .find(|(_, p)| p.is_ok())
-        .map(|(s, _)| s)
-        .expect("at least one valid request");
-    let trace_context = Some(first_span.context()).filter(|_| first_span.is_enabled());
-    let mut outcomes: VecDeque<ExtractOutcome> = extract_only_batch(
-        &snap.wrapper,
-        snap.main_block.as_ref(),
-        &snap.clean,
-        &batch_pages,
-        shared.config.threads,
-        &shared.obs,
-        trace_context,
-        queue_wait_micros,
-    )
-    .into();
-
-    // Sequential bookkeeping in request order through the shard's
-    // mutation lane.
     pending
         .into_iter()
         .zip(spans)
         .map(|(p, span)| match p {
             Err(e) => err(&e),
             Ok(p) => {
-                let outcome = outcomes.pop_front().expect("one outcome per valid request");
+                let outcome = extract_only_with(
+                    &snap.wrapper,
+                    snap.main_block.as_ref(),
+                    &snap.clean,
+                    &p.pages,
+                    REQUEST_THREADS,
+                    &shared.obs,
+                    Some(span.context()).filter(|_| span.is_enabled()),
+                    queue_wait_micros,
+                );
                 process_request(
                     shared,
                     &shard,
@@ -377,7 +352,6 @@ fn process_request(
     span: &Span,
     started: u64,
 ) -> Json {
-    let threads = shared.config.threads;
     let threshold = shared.config.drift_threshold;
     let trace_context = Some(span.context()).filter(|_| span.is_enabled());
     let PendingExtract { names, pages } = req;
@@ -389,7 +363,7 @@ fn process_request(
         outcome
     } else {
         // A batch mate (or a concurrent connection) repaired the
-        // wrapper after this request's batched extraction ran. Replay
+        // wrapper after this request's extraction ran. Replay
         // against the current revision — exactly what the serial
         // order would have produced.
         let (_, fresh) = shard.slot.load();
@@ -399,7 +373,7 @@ fn process_request(
             snap.main_block.as_ref(),
             &snap.clean,
             &pages,
-            threads,
+            REQUEST_THREADS,
             &shared.obs,
             trace_context,
             None,
@@ -502,7 +476,7 @@ fn process_request(
             stored_old.main_block.as_ref(),
             &stored_old.clean,
             &buffered,
-            threads,
+            REQUEST_THREADS,
             &shared.obs,
             repair_context,
             None,
@@ -606,7 +580,7 @@ fn process_request(
                     snap.main_block.as_ref(),
                     &snap.clean,
                     &pages,
-                    threads,
+                    REQUEST_THREADS,
                     &shared.obs,
                     trace_context,
                     None,

@@ -24,7 +24,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
 fn config(store_dir: PathBuf) -> ServeConfig {
     ServeConfig {
         store_dir,
-        threads: Some(2),
         ..ServeConfig::default()
     }
 }

@@ -25,7 +25,6 @@ fn service(tag: &str, with_store: bool) -> Service {
     Service::new(ServeConfig {
         store_dir: dir.join("wrappers"),
         object_store: with_store.then(|| dir.join("objects")),
-        threads: Some(2),
         ..ServeConfig::default()
     })
 }
@@ -362,7 +361,6 @@ fn sink_survives_daemon_restart_and_cursors_stay_valid() {
     let config = || ServeConfig {
         store_dir: dir.join("wrappers"),
         object_store: Some(dir.join("objects")),
-        threads: Some(2),
         ..ServeConfig::default()
     };
     let pages = books_pages();

@@ -18,7 +18,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
 fn config(store_dir: PathBuf) -> ServeConfig {
     ServeConfig {
         store_dir,
-        threads: Some(2),
         ..ServeConfig::default()
     }
 }
@@ -240,6 +239,58 @@ fn trace_command_returns_stitched_span_trees() {
     find("serve.induce");
     find("pipeline.induce");
     find("stage.wrap");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn batched_extracts_each_get_their_own_pipeline_span() {
+    let dir = scratch_dir("batch-spans");
+    let mut service = Service::new(config(dir.clone()));
+    let pages = pages("batch-books", 18_108);
+    let induce = respond(
+        &mut service,
+        &request("induce", "batch-books", Some("books"), &pages),
+    );
+    let extract = request("extract", "batch-books", None, &pages);
+    let mut cache = service.reader_cache();
+    let responses = service.handle_batch(&[extract.clone(), extract], &mut cache);
+    assert_eq!(
+        service
+            .obs()
+            .snapshot()
+            .counter("objectrunner.serve.serving.batched_requests"),
+        2,
+        "the two extracts ran as one batch"
+    );
+
+    assert_eq!(responses.len(), 2);
+    for raw in &responses {
+        let json = Json::parse(raw).expect("responses are valid JSON");
+        assert_eq!(json.get("ok").and_then(Json::as_bool), Some(true), "{raw}");
+        let trace = json.get("trace").and_then(Json::as_i64).unwrap() as u64;
+        let spans = service.obs().spans_for_trace(trace);
+        let serve_span = spans
+            .iter()
+            .find(|s| s.name == "serve.extract")
+            .expect("request span");
+        let pipeline_span = spans
+            .iter()
+            .find(|s| s.name == "pipeline.extract")
+            .unwrap_or_else(|| panic!("trace {trace} has no pipeline.extract span"));
+        assert_eq!(
+            pipeline_span.parent, serve_span.id,
+            "pipeline span hangs under its own request"
+        );
+    }
+    // Every pipeline call of a request runs on the request's thread.
+    for response in [&induce, &Json::parse(&responses[0]).unwrap()] {
+        let threads = response
+            .get("stats")
+            .and_then(|s| s.get("threads"))
+            .and_then(Json::as_i64);
+        assert_eq!(threads, Some(1));
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -40,7 +40,6 @@ fn pinned_service(store_dir: PathBuf) -> Service {
     Service::with_observability(
         ServeConfig {
             store_dir,
-            threads: Some(2),
             ..ServeConfig::default()
         },
         obs,

@@ -1,10 +1,10 @@
 //! Live-telemetry guarantees of the serving layer.
 //!
 //! * **Determinism** — under a pinned fake clock, the `watch` stream,
-//!   the `metrics-text` exposition and the `trace slow` dump of a
-//!   `threads = 8` service are byte-identical to a `threads = 1` run
-//!   once the scheduling-dependent values (CPU-time accounting, stage
-//!   wall timings, memo hit/miss splits) are normalized away.
+//!   the `metrics-text` exposition and the `trace slow` dump of two
+//!   services fed the same traffic are byte-identical once the
+//!   scheduling-dependent values (CPU-time accounting, stage wall
+//!   timings, memo hit/miss splits) are normalized away.
 //! * **Windows** — the `watch` line reports windowed rates and
 //!   quantiles that decay to zero once the clock moves past the
 //!   sliding window, while the cumulative request counter keeps its
@@ -44,7 +44,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
 /// access log.
 fn pinned_live_service(
     store_dir: PathBuf,
-    threads: usize,
     access_log: Option<PathBuf>,
     access_log_max_bytes: u64,
 ) -> (Service, Arc<FakeClock>) {
@@ -58,7 +57,6 @@ fn pinned_live_service(
     let service = Service::with_observability(
         ServeConfig {
             store_dir,
-            threads: Some(threads),
             slow_trace_micros: Some(0),
             access_log,
             access_log_max_bytes,
@@ -88,7 +86,7 @@ fn seed_wrapper(store_dir: &Path) -> String {
         ("pages".into(), pages.clone()),
     ])
     .render();
-    let (seeder, _) = pinned_live_service(store_dir.to_path_buf(), 2, None, 64 << 20);
+    let (seeder, _) = pinned_live_service(store_dir.to_path_buf(), None, 64 << 20);
     let response = seeder.handle_line(&induce);
     assert!(
         response.contains("\"ok\":true"),
@@ -181,12 +179,8 @@ fn normalize_metrics(text: &str) -> String {
 
 /// One full deterministic session: drive the traffic, then capture
 /// the three live-telemetry read paths.
-fn telemetry_session(
-    store_dir: PathBuf,
-    threads: usize,
-    extract: &str,
-) -> (String, String, String) {
-    let (service, fake) = pinned_live_service(store_dir, threads, None, 64 << 20);
+fn telemetry_session(store_dir: PathBuf, extract: &str) -> (String, String, String) {
+    let (service, fake) = pinned_live_service(store_dir, None, 64 << 20);
     drive(&service, &fake, extract);
     let spec = service
         .special(r#"{"cmd":"watch","count":3,"interval_micros":0}"#)
@@ -206,8 +200,8 @@ fn telemetry_session(
 fn watch_metrics_text_and_trace_slow_are_identical_across_thread_counts() {
     let dir = scratch_dir("determinism");
     let extract = seed_wrapper(&dir);
-    let (watch_1, metrics_1, slow_1) = telemetry_session(dir.clone(), 1, &extract);
-    let (watch_8, metrics_8, slow_8) = telemetry_session(dir.clone(), 8, &extract);
+    let (watch_1, metrics_1, slow_1) = telemetry_session(dir.clone(), &extract);
+    let (watch_8, metrics_8, slow_8) = telemetry_session(dir.clone(), &extract);
 
     assert_eq!(watch_1, watch_8, "watch stream diverged across threads");
     for (a, b) in metrics_1.lines().zip(metrics_8.lines()) {
@@ -250,7 +244,7 @@ fn watch_metrics_text_and_trace_slow_are_identical_across_thread_counts() {
 fn watch_windows_decay_while_cumulative_counters_hold() {
     let dir = scratch_dir("rollover");
     let extract = seed_wrapper(&dir);
-    let (service, fake) = pinned_live_service(dir, 1, None, 64 << 20);
+    let (service, fake) = pinned_live_service(dir, None, 64 << 20);
     drive(&service, &fake, extract.as_str());
 
     let watch_once = |service: &Service| {
@@ -295,7 +289,7 @@ fn watch_windows_decay_while_cumulative_counters_hold() {
 fn slow_errored_and_shed_requests_are_retained_with_span_trees() {
     let dir = scratch_dir("retention");
     let extract = seed_wrapper(&dir);
-    let (service, fake) = pinned_live_service(dir, 2, None, 64 << 20);
+    let (service, fake) = pinned_live_service(dir, None, 64 << 20);
 
     // One cached extract: with the floor at zero and the adaptive
     // threshold still cold, it is retained as slow.
@@ -373,7 +367,7 @@ fn access_log_writes_one_line_per_request_and_rotates_under_cap() {
     let log_path = dir.join("logs/access.jsonl");
     // A cap small enough that a handful of requests rotate at least
     // once, but big enough to hold one line.
-    let (service, fake) = pinned_live_service(dir.clone(), 1, Some(log_path.clone()), 512);
+    let (service, fake) = pinned_live_service(dir.clone(), Some(log_path.clone()), 512);
     drive(&service, &fake, &extract);
 
     let status = Json::parse(&service.handle_line(r#"{"cmd":"status"}"#)).unwrap();
@@ -426,7 +420,7 @@ fn serving_gauges_stay_non_negative_under_overload_churn() {
     const INFLIGHT: usize = 2;
     let dir = scratch_dir("gauges");
     let extract = seed_wrapper(&dir);
-    let (service, _fake) = pinned_live_service(dir, 2, None, 64 << 20);
+    let (service, _fake) = pinned_live_service(dir, None, 64 << 20);
     let service = Arc::new(service);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let handle = serve_tcp(

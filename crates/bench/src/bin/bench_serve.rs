@@ -2,26 +2,20 @@
 //!
 //! Drives the daemon's TCP front door the way a crawler fleet does:
 //! `--conns` concurrent connections, each pipelining `--requests`
-//! cached extracts in bursts of `--burst` lines, against two in-process
-//! servers over the same seeded wrapper store:
-//!
-//! * **pooled** — the real serving core (`serve_tcp`): sharded
-//!   lock-free wrapper reads, a bounded worker pool, request batching
-//!   and buffered writes;
-//! * **baseline** — the pre-pool architecture, reconstructed here for
-//!   comparison: one global `Mutex<Service>`, a thread per connection,
-//!   one unbuffered write per response.
+//! cached extracts in bursts of `--burst` lines, against the real
+//! serving core (`serve_tcp`: sharded lock-free wrapper reads, a
+//! bounded worker pool, request batching and buffered writes) in
+//! process, over a seeded wrapper store.
 //!
 //! The document records throughput (requests/sec over the wall time of
 //! the full run) and client-observed latency quantiles (burst send →
-//! response arrival) for both servers, the pooled server's own extract
-//! histogram quantiles, and the sanity gates `ci.sh` checks: every
-//! pooled response must normalize byte-identical to a serial
-//! `handle_line` reference, and a correctly budgeted run must shed
-//! nothing. `host_cpus` is recorded because the spread between the two
-//! servers is hardware-honest: on a single hardware thread the pooled
-//! win comes from batching amortization and buffered writes, not
-//! parallelism.
+//! response arrival), the server's own extract histogram quantiles,
+//! and the sanity gates `ci.sh` checks: every pooled response must
+//! normalize byte-identical to a serial `handle_line` reference, and a
+//! correctly budgeted run must shed nothing. The pre-pool global-mutex
+//! daemon is no longer rebuilt here; its recorded comparison is
+//! EXPERIMENTS.md E14, and the benchmark ledger times the pool layer
+//! by layer.
 //!
 //! Output is one JSON document on stdout; a recorded run is committed
 //! as `BENCH_serve.json` at the repository root.
@@ -33,7 +27,7 @@ use objectrunner_webgen::{generate_site, Domain, PageKind, SiteSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 const SOURCE: &str = "bench-books";
@@ -45,7 +39,7 @@ fn service(store_dir: PathBuf) -> Service {
     })
 }
 
-/// Induce and persist the wrapper both servers will serve, and return
+/// Induce and persist the wrapper the server will serve, and return
 /// the extract request line every client sends.
 fn seed_wrapper(store_dir: &Path, pages: usize) -> String {
     let site = generate_site(&SiteSpec::clean(
@@ -95,33 +89,6 @@ fn normalize(raw: &str) -> String {
     }
 }
 
-/// The pre-pool serving loop, kept here as the regression baseline:
-/// accept, spawn a thread, take the one global service lock per line,
-/// write each response unbuffered. The acceptor thread is leaked; the
-/// bench process exits when done.
-fn serve_baseline(listener: TcpListener, service: Arc<Mutex<Service>>) {
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(stream) = stream else { break };
-            let service = Arc::clone(&service);
-            std::thread::spawn(move || {
-                let reader = BufReader::new(stream.try_clone().expect("clone stream"));
-                let mut stream = stream;
-                for line in reader.lines() {
-                    let Ok(line) = line else { break };
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    let response = service.lock().expect("service lock").handle_line(&line);
-                    if writeln!(stream, "{response}").is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-    });
-}
-
 struct LoadResult {
     wall_micros: u128,
     /// Client-observed burst-send → response-arrival times, micros.
@@ -140,8 +107,8 @@ fn run_load(
     extract: &str,
     expected: &str,
 ) -> LoadResult {
-    // Warm the wrapper from disk outside the timed window, so both
-    // servers are measured in cached steady state.
+    // Warm the wrapper from disk outside the timed window, so the
+    // server is measured in cached steady state.
     let mut warm = TcpStream::connect(addr).expect("warm connect");
     writeln!(warm, "{extract}").expect("warm send");
     let mut line = String::new();
@@ -246,13 +213,6 @@ fn main() {
     assert!(expected.contains("\"ok\":true"), "serial reference failed");
     drop(serial);
 
-    // Baseline: global mutex, thread per connection.
-    let baseline_service = Arc::new(Mutex::new(service(dir.clone())));
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind baseline");
-    let baseline_addr = listener.local_addr().expect("baseline addr");
-    serve_baseline(listener, baseline_service);
-    let baseline = run_load(baseline_addr, conns, requests, burst, &extract, &expected);
-
     // Pooled: the real serving core, budgeted so nothing sheds.
     let pooled_service = Arc::new(service(dir.clone()));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind pooled");
@@ -326,9 +286,8 @@ fn main() {
     );
     handle.shutdown();
 
-    let baseline_rps = rps(total, baseline.wall_micros);
     let pooled_rps = rps(total, pooled.wall_micros);
-    let pooled_equals_serial = pooled.mismatches == 0 && baseline.mismatches == 0;
+    let pooled_equals_serial = pooled.mismatches == 0;
 
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -341,20 +300,6 @@ fn main() {
     println!("  \"pages_per_request\": {pages},");
     println!("  \"total_requests\": {total},");
     println!("  \"pool_workers\": {pool_workers},");
-    println!("  \"baseline_wall_micros\": {},", baseline.wall_micros);
-    println!("  \"baseline_rps\": {baseline_rps:.1},");
-    println!(
-        "  \"baseline_p50_micros\": {},",
-        quantile(&baseline.latencies, 0.5)
-    );
-    println!(
-        "  \"baseline_p99_micros\": {},",
-        quantile(&baseline.latencies, 0.99)
-    );
-    println!(
-        "  \"baseline_p999_micros\": {},",
-        quantile(&baseline.latencies, 0.999)
-    );
     println!("  \"pooled_wall_micros\": {},", pooled.wall_micros);
     println!("  \"pooled_rps\": {pooled_rps:.1},");
     println!(
@@ -384,10 +329,6 @@ fn main() {
         windowed.quantile(0.999)
     );
     println!("  \"window_agrees_with_histogram\": {window_agrees},");
-    println!(
-        "  \"speedup_vs_baseline\": {:.2},",
-        pooled_rps / baseline_rps
-    );
     println!("  \"batches\": {batches},");
     println!("  \"batched_requests\": {batched},");
     println!("  \"shed_requests\": {shed_requests},");

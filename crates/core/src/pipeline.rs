@@ -334,7 +334,7 @@ pub fn extract_only_with<S: AsRef<str>>(
         refs,
         resolve_threads(threads),
         WINDOW_PER_THREAD,
-        |_, html, parser| process_page(html, parser, wrapper, main_block, clean),
+        |_, html| process_page(html, wrapper, main_block, clean),
         |_, page| {
             for (total, step) in steps.iter_mut().zip(page.steps) {
                 *total += step;

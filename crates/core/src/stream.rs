@@ -12,20 +12,20 @@
 //! instances and prepared documents collected), so the streamed output
 //! is identical to `extract_only` on the same pages by construction.
 //!
-//! Each worker owns one [`PageParser`], whose arena is reset between
-//! pages: a million-page run allocates like a one-page run. One worker
-//! runs inline on the caller's thread with no pool and no locks; more
-//! than one share a claim/reorder scheduler under one mutex: workers
-//! claim page indices from the source iterator, finished pages park in
-//! a reorder buffer, and the caller's thread drains the buffer in index
-//! order, invoking the sink outside the lock. Workers stall whenever
+//! Workers hold no per-page state; each page is parsed by
+//! `html::parse`. One worker runs inline on the caller's thread with no
+//! pool and no locks; more than one share a claim/reorder scheduler
+//! under one mutex: workers claim page indices from the source
+//! iterator, finished pages park in a reorder buffer, and the caller's
+//! thread drains the buffer in index order, invoking the sink outside
+//! the lock. Workers stall whenever
 //! `claimed - emitted` reaches the window, so one slow page cannot let
 //! the buffer grow without bound. Peak memory is
 //! `O(threads × window)` pages regardless of corpus size.
 
 use crate::exec::resolve_threads;
 use crate::wrapper::Wrapper;
-use objectrunner_html::{clean_document, CleanOptions, Document, PageParser};
+use objectrunner_html::{clean_document, parse, CleanOptions, Document};
 use objectrunner_obs::Obs;
 use objectrunner_segment::{simplify_to_main_block, MainBlockChoice};
 use objectrunner_sod::Instance;
@@ -83,9 +83,8 @@ pub struct StreamStats {
     /// Summed time spent in the per-page function, all workers — the
     /// CPU cost of extraction, excluding the sink and scheduler waits.
     pub busy_micros: u128,
-    /// Largest per-page text arena across all workers — the streaming
-    /// path's memory high-water mark scales with the biggest page, not
-    /// the corpus.
+    /// Always 0: parsing keeps no per-page text arena. The field exists
+    /// only so the benchmark harness that reads it keeps building.
     pub arena_peak_bytes: usize,
 }
 
@@ -98,18 +97,6 @@ impl StreamStats {
         self.pages as f64 * 1_000_000.0 / self.wall_micros as f64
     }
 }
-
-/// Histogram bounds for `objectrunner.core.stream.arena_peak_bytes`
-/// (1 KiB … 16 MiB in powers of four).
-const ARENA_BOUNDS: &[u64] = &[
-    1 << 10,
-    1 << 12,
-    1 << 14,
-    1 << 16,
-    1 << 18,
-    1 << 20,
-    1 << 24,
-];
 
 /// What one page yields from `process_page`.
 pub(crate) struct PageOutput {
@@ -129,13 +116,12 @@ pub(crate) struct PageOutput {
 /// fresh pipeline run's.
 pub(crate) fn process_page(
     html: &str,
-    parser: &mut PageParser,
     wrapper: &Wrapper,
     main_block: Option<&MainBlockChoice>,
     clean: &CleanOptions,
 ) -> PageOutput {
     let t0 = Instant::now();
-    let mut doc = parser.parse(html);
+    let mut doc = parse(html);
     let t1 = Instant::now();
     clean_document(&mut doc, clean);
     let t2 = Instant::now();
@@ -160,8 +146,6 @@ pub(crate) struct DriveStats {
     pub workers: usize,
     /// Summed time spent inside the per-page function.
     pub busy: Duration,
-    /// Largest per-page parser arena across all workers.
-    pub arena_peak_bytes: usize,
 }
 
 /// Shared scheduler state: the source iterator, the reorder buffer,
@@ -174,7 +158,7 @@ struct State<I, T> {
     ready: BTreeMap<usize, T>,
 }
 
-/// Run `work(index, html, parser)` over every page on up to `threads`
+/// Run `work(index, html)` over every page on up to `threads`
 /// workers and hand each result to `sink(index, result)` in page order
 /// on the caller's thread. Never starts more workers than the source's
 /// size hint says there are pages; one worker runs inline.
@@ -190,7 +174,7 @@ where
     I::IntoIter: Send,
     I::Item: AsRef<str> + Send,
     T: Send,
-    W: Fn(usize, &str, &mut PageParser) -> T + Sync,
+    W: Fn(usize, &str) -> T + Sync,
     F: FnMut(usize, T),
 {
     let source = pages.into_iter();
@@ -201,19 +185,16 @@ where
         pages: 0,
         workers,
         busy: Duration::ZERO,
-        arena_peak_bytes: 0,
     };
 
     if workers == 1 {
-        let mut parser = PageParser::new();
         for (i, page) in source.enumerate() {
             let start = Instant::now();
-            let out = work(i, page.as_ref(), &mut parser);
+            let out = work(i, page.as_ref());
             run.busy += start.elapsed();
             run.pages += 1;
             sink(i, out);
         }
-        run.arena_peak_bytes = parser.arena_peak_bytes();
         return run;
     }
 
@@ -235,7 +216,6 @@ where
         for _ in 0..workers {
             handles.push(scope.spawn(|| {
                 let mut busy = Duration::ZERO;
-                let mut parser = PageParser::new();
                 loop {
                     let claim = {
                         let mut st = state.lock().expect("stream worker panicked");
@@ -264,7 +244,7 @@ where
                     };
                     let Some((i, page)) = claim else { break };
                     let start = Instant::now();
-                    let out = work(i, page.as_ref(), &mut parser);
+                    let out = work(i, page.as_ref());
                     busy += start.elapsed();
                     let mut st = state.lock().expect("stream worker panicked");
                     st.ready.insert(i, out);
@@ -273,7 +253,7 @@ where
                     // and the consumer re-checks under the lock.
                     ready.notify_all();
                 }
-                (busy, parser.arena_peak_bytes())
+                busy
             }));
         }
 
@@ -301,9 +281,7 @@ where
         }
 
         for handle in handles {
-            let (busy, arena_peak) = handle.join().expect("stream worker panicked");
-            run.busy += busy;
-            run.arena_peak_bytes = run.arena_peak_bytes.max(arena_peak);
+            run.busy += handle.join().expect("stream worker panicked");
         }
     });
     run
@@ -340,9 +318,9 @@ where
         pages,
         resolve_threads(config.threads),
         config.window_per_thread,
-        |i, html, parser| {
+        |i, html| {
             let span = sampled_span(obs, config, page_span_ctx, i);
-            let out = process_page(html, parser, wrapper, main_block, clean).objects;
+            let out = process_page(html, wrapper, main_block, clean).objects;
             finish_page_span(span, &out);
             out
         },
@@ -357,7 +335,7 @@ where
         threads: run.workers,
         wall_micros: start.elapsed().as_micros(),
         busy_micros: run.busy.as_micros(),
-        arena_peak_bytes: run.arena_peak_bytes,
+        arena_peak_bytes: 0,
     };
 
     if obs.is_enabled() {
@@ -367,11 +345,6 @@ where
         obs.gauge_set(
             "objectrunner.core.stream.pages_per_sec",
             stats.pages_per_sec() as i64,
-        );
-        obs.histogram_record(
-            "objectrunner.core.stream.arena_peak_bytes",
-            ARENA_BOUNDS,
-            stats.arena_peak_bytes as u64,
         );
     }
     root.attr_u64("pages", stats.pages as u64);
@@ -582,16 +555,6 @@ mod tests {
         for s in &page_spans {
             assert_eq!(s.parent, roots[0].id, "page span attached to root");
         }
-    }
-
-    #[test]
-    fn arena_peak_tracks_biggest_page_not_corpus() {
-        let (wrapper, main_block, clean, pages) = induce();
-        let (_, once) = streamed(&wrapper, main_block.as_ref(), &clean, &pages[..4], 1);
-        let (_, many) = streamed(&wrapper, main_block.as_ref(), &clean, &pages, 1);
-        // Same template ⇒ the per-page arena high-water mark does not
-        // grow with corpus size.
-        assert_eq!(once.arena_peak_bytes, many.arena_peak_bytes);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!             [--skip SUBSTR]... [--no-default-skips]
 //!   obs_check report <events.jsonl>
 
-use objectrunner_obs::check;
+use objectrunner_eval::obs_check as check;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

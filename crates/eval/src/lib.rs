@@ -12,10 +12,13 @@
 //!   selection strategies) and Table III (system comparison).
 //! * [`figures`] — Figure 6(a) object classification rates and 6(b)
 //!   incompletely-managed source rates.
+//! * [`obs_check`] — schema checks and baseline diffs for the
+//!   observability exports `obs_golden` writes.
 //!
 //! Binaries: `table1`, `table2`, `table3`, `figure6`,
 //! `dictionary_coverage` (Appendix A), `support_sweep` (Appendix B),
-//! `drift_sweep` (E7: template-drift strength vs detection/repair).
+//! `drift_sweep` (E7: template-drift strength vs detection/repair),
+//! `obs_golden` and its checker `obs_check`.
 //!
 //! Every binary that drives the ObjectRunner pipeline accepts
 //! `--stats-json`, which makes the runners print one machine-readable
@@ -24,6 +27,7 @@
 
 pub mod classify;
 pub mod figures;
+pub mod obs_check;
 pub mod runners;
 pub mod tables;
 

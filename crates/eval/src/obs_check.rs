@@ -1,224 +1,22 @@
 //! Schema checking and baseline diffing for exported observability
 //! artifacts, used by the `obs_check` bin in the `ci.sh obs-smoke`
-//! stage.
-//!
-//! This crate is the dependency-free leaf of the workspace (store and
-//! core depend on it), so it carries its own minimal JSON parser
-//! rather than reaching for `store::json`.
+//! stage. It sits next to `obs_golden`, which produces the artifacts,
+//! and reads them with the workspace's one JSON codec,
+//! [`objectrunner_store::Json`].
 
+use objectrunner_store::Json;
 use std::fmt::Write as _;
 
-/// A parsed JSON value. Numbers are `f64`, which is exact for every
-/// integer the exporters emit (< 2^53).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<JsonValue>),
-    Obj(Vec<(String, JsonValue)>),
+/// Parse one JSON document, rendering a parse failure as text.
+fn parse_doc(text: &str) -> Result<Json, String> {
+    Json::parse(text).map_err(|e| e.to_string())
 }
 
-impl JsonValue {
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(xs) => Some(xs),
-            _ => None,
-        }
-    }
-
-    pub fn as_obj(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Obj(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-}
-
-/// Parse one JSON document; trailing non-whitespace is an error.
-pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_owned()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => Ok(JsonValue::Str(parse_str(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", JsonValue::Null),
-        Some(_) => parse_num(bytes, pos),
-    }
-}
-
-fn parse_lit(
-    bytes: &[u8],
-    pos: &mut usize,
-    lit: &str,
-    value: JsonValue,
-) -> Result<JsonValue, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("expected `{lit}` at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(JsonValue::Num)
-        .map_err(|_| format!("bad number `{text}` at byte {start}"))
-}
-
-fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}", pos = *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                }
-                *pos += 1;
-            }
-            _ => {
-                // Copy the full UTF-8 sequence.
-                let s = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let ch = s.chars().next().ok_or("unexpected end of string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
-        }
-    }
-    Err("unterminated string".to_owned())
-}
-
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    *pos += 1; // consume '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    *pos += 1; // consume '{'
-    let mut pairs = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Obj(pairs));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_str(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected `:` at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos)?;
-        pairs.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Obj(pairs));
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
-        }
+/// Members of a JSON object.
+fn as_obj(value: &Json) -> Option<&[(String, Json)]> {
+    match value {
+        Json::Obj(pairs) => Some(pairs),
+        _ => None,
     }
 }
 
@@ -241,37 +39,37 @@ pub fn validate_events_jsonl(text: &str) -> Result<EventsSummary, String> {
         if line.trim().is_empty() {
             return Err(ctx("blank line"));
         }
-        let value = parse_json(line).map_err(|e| ctx(&e))?;
+        let value = parse_doc(line).map_err(|e| ctx(&e))?;
         let kind = value
             .get("type")
-            .and_then(JsonValue::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| ctx("missing string field `type`"))?;
         match kind {
             "span" => {
                 for field in ["trace", "id", "parent", "start_us", "dur_us", "cpu_us"] {
                     value
                         .get(field)
-                        .and_then(JsonValue::as_num)
+                        .and_then(Json::as_f64)
                         .ok_or_else(|| ctx(&format!("span missing numeric `{field}`")))?;
                 }
                 value
                     .get("name")
-                    .and_then(JsonValue::as_str)
+                    .and_then(Json::as_str)
                     .ok_or_else(|| ctx("span missing string `name`"))?;
                 value
                     .get("attrs")
-                    .and_then(JsonValue::as_obj)
+                    .and_then(as_obj)
                     .ok_or_else(|| ctx("span missing object `attrs`"))?;
                 summary.spans += 1;
             }
             "counter" | "gauge" => {
                 value
                     .get("name")
-                    .and_then(JsonValue::as_str)
+                    .and_then(Json::as_str)
                     .ok_or_else(|| ctx("metric missing string `name`"))?;
                 value
                     .get("value")
-                    .and_then(JsonValue::as_num)
+                    .and_then(Json::as_f64)
                     .ok_or_else(|| ctx("metric missing numeric `value`"))?;
                 if kind == "counter" {
                     summary.counters += 1;
@@ -282,15 +80,15 @@ pub fn validate_events_jsonl(text: &str) -> Result<EventsSummary, String> {
             "histogram" => {
                 value
                     .get("name")
-                    .and_then(JsonValue::as_str)
+                    .and_then(Json::as_str)
                     .ok_or_else(|| ctx("histogram missing string `name`"))?;
                 let bounds = value
                     .get("bounds")
-                    .and_then(JsonValue::as_arr)
+                    .and_then(Json::as_arr)
                     .ok_or_else(|| ctx("histogram missing array `bounds`"))?;
                 let counts = value
                     .get("counts")
-                    .and_then(JsonValue::as_arr)
+                    .and_then(Json::as_arr)
                     .ok_or_else(|| ctx("histogram missing array `counts`"))?;
                 if counts.len() != bounds.len() + 1 {
                     return Err(ctx("histogram counts must be bounds + overflow slot"));
@@ -298,7 +96,7 @@ pub fn validate_events_jsonl(text: &str) -> Result<EventsSummary, String> {
                 for field in ["sum", "count"] {
                     value
                         .get(field)
-                        .and_then(JsonValue::as_num)
+                        .and_then(Json::as_f64)
                         .ok_or_else(|| ctx(&format!("histogram missing numeric `{field}`")))?;
                 }
                 summary.histograms += 1;
@@ -313,16 +111,16 @@ pub fn validate_events_jsonl(text: &str) -> Result<EventsSummary, String> {
 /// a `traceEvents` array of complete (`"ph":"X"`) events, each with
 /// the fields Perfetto requires. Returns the event count.
 pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
-    let value = parse_json(text)?;
+    let value = parse_doc(text)?;
     let events = value
         .get("traceEvents")
-        .and_then(JsonValue::as_arr)
+        .and_then(Json::as_arr)
         .ok_or("missing array `traceEvents`")?;
     for (i, event) in events.iter().enumerate() {
         let ctx = |msg: &str| format!("traceEvents[{i}]: {msg}");
         let ph = event
             .get("ph")
-            .and_then(JsonValue::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| ctx("missing string `ph`"))?;
         if ph != "X" {
             return Err(ctx(&format!("expected complete event (ph=X), got `{ph}`")));
@@ -330,18 +128,18 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
         for field in ["name", "cat"] {
             event
                 .get(field)
-                .and_then(JsonValue::as_str)
+                .and_then(Json::as_str)
                 .ok_or_else(|| ctx(&format!("missing string `{field}`")))?;
         }
         for field in ["ts", "dur", "pid", "tid"] {
             event
                 .get(field)
-                .and_then(JsonValue::as_num)
+                .and_then(Json::as_f64)
                 .ok_or_else(|| ctx(&format!("missing numeric `{field}`")))?;
         }
         event
             .get("args")
-            .and_then(JsonValue::as_obj)
+            .and_then(as_obj)
             .ok_or_else(|| ctx("missing object `args`"))?;
     }
     Ok(events.len())
@@ -365,7 +163,7 @@ fn skipped(name: &str, skip: &[String]) -> bool {
     skip.iter().any(|s| name.contains(s.as_str()))
 }
 
-/// Diff two snapshot JSON documents (the [`crate::MetricsSnapshot`]
+/// Diff two snapshot JSON documents (the [`objectrunner_obs::MetricsSnapshot`]
 /// `to_json` shape). Counters and gauges must match within
 /// `tolerance` (relative, e.g. `0.05` = ±5%); histogram total counts
 /// likewise. Names containing any `skip` substring are ignored, as are
@@ -377,31 +175,31 @@ pub fn diff_snapshots(
     skip: &[String],
     tolerance: f64,
 ) -> Result<Vec<String>, String> {
-    let base = parse_json(baseline).map_err(|e| format!("baseline: {e}"))?;
-    let cur = parse_json(current).map_err(|e| format!("current: {e}"))?;
+    let base = parse_doc(baseline).map_err(|e| format!("baseline: {e}"))?;
+    let cur = parse_doc(current).map_err(|e| format!("current: {e}"))?;
     let mut mismatches = Vec::new();
 
     for section in ["counters", "gauges"] {
         let base_map = base
             .get(section)
-            .and_then(JsonValue::as_obj)
+            .and_then(as_obj)
             .ok_or_else(|| format!("baseline: missing object `{section}`"))?;
         let cur_map = cur
             .get(section)
-            .and_then(JsonValue::as_obj)
+            .and_then(as_obj)
             .ok_or_else(|| format!("current: missing object `{section}`"))?;
         for (name, base_val) in base_map {
             if skipped(name, skip) {
                 continue;
             }
             let base_num = base_val
-                .as_num()
+                .as_f64()
                 .ok_or_else(|| format!("baseline: `{name}` is not a number"))?;
             match cur_map.iter().find(|(k, _)| k == name) {
                 None => mismatches.push(format!("{section}: `{name}` missing from current")),
                 Some((_, v)) => {
                     let cur_num = v
-                        .as_num()
+                        .as_f64()
                         .ok_or_else(|| format!("current: `{name}` is not a number"))?;
                     if !within(base_num, cur_num, tolerance) {
                         let mut line = String::new();
@@ -431,11 +229,11 @@ pub fn diff_snapshots(
 
     let base_hists = base
         .get("histograms")
-        .and_then(JsonValue::as_obj)
+        .and_then(as_obj)
         .ok_or("baseline: missing object `histograms`")?;
     let cur_hists = cur
         .get("histograms")
-        .and_then(JsonValue::as_obj)
+        .and_then(as_obj)
         .ok_or("current: missing object `histograms`")?;
     for (name, base_h) in base_hists {
         if skipped(name, skip) {
@@ -443,14 +241,14 @@ pub fn diff_snapshots(
         }
         let base_count = base_h
             .get("count")
-            .and_then(JsonValue::as_num)
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("baseline: histogram `{name}` missing count"))?;
         match cur_hists.iter().find(|(k, _)| k == name) {
             None => mismatches.push(format!("histograms: `{name}` missing from current")),
             Some((_, h)) => {
                 let cur_count = h
                     .get("count")
-                    .and_then(JsonValue::as_num)
+                    .and_then(Json::as_f64)
                     .ok_or_else(|| format!("current: histogram `{name}` missing count"))?;
                 if !within(base_count, cur_count, tolerance) {
                     mismatches.push(format!(
@@ -471,32 +269,26 @@ fn within(base: f64, cur: f64, tolerance: f64) -> bool {
 }
 
 /// Aggregate report over a parsed events JSONL file (the file-based
-/// sibling of [`crate::export::report`], for `obs_check report`).
+/// sibling of [`objectrunner_obs::export::report`], for `obs_check report`).
 pub fn report_from_events(text: &str) -> Result<String, String> {
     validate_events_jsonl(text)?;
     let mut by_name: std::collections::BTreeMap<String, (u64, u64, u64)> =
         std::collections::BTreeMap::new();
     let mut metric_lines = Vec::new();
     for line in text.lines() {
-        let value = parse_json(line)?;
-        match value.get("type").and_then(JsonValue::as_str) {
+        let value = parse_doc(line)?;
+        match value.get("type").and_then(Json::as_str) {
             Some("span") => {
-                let name = value.get("name").and_then(JsonValue::as_str).unwrap_or("");
-                let dur = value
-                    .get("dur_us")
-                    .and_then(JsonValue::as_num)
-                    .unwrap_or(0.0) as u64;
+                let name = value.get("name").and_then(Json::as_str).unwrap_or("");
+                let dur = value.get("dur_us").and_then(Json::as_f64).unwrap_or(0.0) as u64;
                 let e = by_name.entry(name.to_owned()).or_insert((0, 0, 0));
                 e.0 += 1;
                 e.1 += dur;
                 e.2 = e.2.max(dur);
             }
             Some("counter") | Some("gauge") => {
-                let name = value.get("name").and_then(JsonValue::as_str).unwrap_or("");
-                let v = value
-                    .get("value")
-                    .and_then(JsonValue::as_num)
-                    .unwrap_or(0.0);
+                let name = value.get("name").and_then(Json::as_str).unwrap_or("");
+                let v = value.get("value").and_then(Json::as_f64).unwrap_or(0.0);
                 metric_lines.push(format!("{name:<56} {v:>12}"));
             }
             _ => {}
@@ -533,8 +325,8 @@ pub fn report_from_events(text: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::{chrome_trace, events_jsonl};
-    use crate::Obs;
+    use objectrunner_obs::export::{chrome_trace, events_jsonl};
+    use objectrunner_obs::Obs;
 
     #[test]
     fn parser_round_trips_exporter_output() {
@@ -548,12 +340,12 @@ mod tests {
         let summary = validate_events_jsonl(&jsonl).expect("valid jsonl");
         assert_eq!(summary.spans, 1);
         assert_eq!(summary.counters, 1);
-        let first = parse_json(jsonl.lines().next().unwrap()).unwrap();
+        let first = parse_doc(jsonl.lines().next().unwrap()).unwrap();
         assert_eq!(
             first
                 .get("attrs")
                 .and_then(|a| a.get("domain"))
-                .and_then(JsonValue::as_str),
+                .and_then(Json::as_str),
             Some("golden-\"quoted\"")
         );
     }

@@ -65,8 +65,8 @@ pub fn decode(input: &str) -> String {
 
 /// Decode HTML character references in `input`, appending the result to
 /// a caller-provided buffer. The streaming parse path reuses one buffer
-/// (or a page arena) across every text node instead of allocating a
-/// fresh `String` per node; output is byte-identical to [`decode`].
+/// across every attribute value instead of allocating a fresh `String`
+/// per value; output is byte-identical to [`decode`].
 pub fn decode_into(input: &str, out: &mut String) {
     let bytes = input.as_bytes();
     let mut i = 0;

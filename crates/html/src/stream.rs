@@ -3,22 +3,19 @@
 //! [`EventTokenizer`] yields one [`Event`] at a time from a borrowed
 //! byte slice — no token vector, no up-front pass. Text that needs no
 //! entity decoding is handed out as a zero-copy slice of the input;
-//! decoded text goes through a reusable scratch buffer and, when the
-//! tokenizer is built with an [`Arena`], lives in that arena so a whole
-//! page's decoded text is released by a single arena reset.
+//! decoded text is an owned string.
 //!
 //! The event grammar and error tolerance are byte-for-byte those of
 //! [`crate::tokenizer::tokenize`] — which is now implemented on top of
 //! this type, so the tokenizer test-suite pins both paths at once.
 
-use crate::arena::Arena;
 use crate::entities;
 use crate::intern::Symbol;
 use crate::tokenizer::{Token, RAW_TEXT_ELEMENTS};
 use std::borrow::Cow;
 
-/// One parse event. Borrowed variants point into the input (or the
-/// arena) — nothing is copied until the caller decides to keep it.
+/// One parse event. Borrowed variants point into the input — nothing
+/// is copied until the caller decides to keep it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event<'a> {
     /// `<name attr="v">`; `self_closing` records a trailing `/>`.
@@ -63,9 +60,7 @@ pub struct EventTokenizer<'a> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    /// Decoded text destination; `None` falls back to owned strings.
-    arena: Option<&'a Arena>,
-    /// Reusable entity-decode scratch.
+    /// Reusable attribute-value decode scratch.
     scratch: String,
     /// Raw-text element just opened: its content is the next event.
     pending_raw: Option<Symbol>,
@@ -78,18 +73,8 @@ impl<'a> EventTokenizer<'a> {
             input,
             bytes: input.as_bytes(),
             pos: 0,
-            arena: None,
             scratch: String::new(),
             pending_raw: None,
-        }
-    }
-
-    /// Tokenize `input`, placing decoded text in `arena` so every text
-    /// event is a borrow and the page is freed by one arena reset.
-    pub fn with_arena(input: &'a str, arena: &'a Arena) -> EventTokenizer<'a> {
-        EventTokenizer {
-            arena: Some(arena),
-            ..EventTokenizer::new(input)
         }
     }
 
@@ -116,21 +101,6 @@ impl<'a> EventTokenizer<'a> {
         }
     }
 
-    /// Decode `raw` into the cheapest representation available.
-    fn decoded(&mut self, raw: &'a str) -> Cow<'a, str> {
-        if !entities::may_have_entities(raw) {
-            return Cow::Borrowed(raw);
-        }
-        match self.arena {
-            Some(arena) => {
-                self.scratch.clear();
-                entities::decode_into(raw, &mut self.scratch);
-                Cow::Borrowed(arena.alloc_str(&self.scratch))
-            }
-            None => Cow::Owned(entities::decode(raw)),
-        }
-    }
-
     fn consume_text(&mut self) -> Event<'a> {
         let start = self.pos;
         while self.pos < self.bytes.len() && self.bytes[self.pos] != b'<' {
@@ -138,8 +108,11 @@ impl<'a> EventTokenizer<'a> {
         }
         let raw = &self.input[start..self.pos];
         debug_assert!(!raw.is_empty());
-        let text = self.decoded(raw);
-        Event::Text(text)
+        Event::Text(if entities::may_have_entities(raw) {
+            Cow::Owned(entities::decode(raw))
+        } else {
+            Cow::Borrowed(raw)
+        })
     }
 
     fn consume_markup(&mut self) -> Option<Event<'a>> {
@@ -411,18 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn decoded_text_is_borrowed_with_arena() {
-        let arena = Arena::new();
-        let mut t = EventTokenizer::with_arena("<p>a &amp; b &lt;x&gt;</p>", &arena);
-        t.next_event();
-        match t.next_event() {
-            Some(Event::Text(Cow::Borrowed(s))) => assert_eq!(s, "a & b <x>"),
-            other => panic!("expected arena-borrowed text, got {other:?}"),
-        }
-        assert_eq!(arena.allocated_bytes(), "a & b <x>".len());
-    }
-
-    #[test]
     fn raw_text_close_found_without_lowercasing() {
         let toks = events("<script>var a = '</SCRIPTx' + 1<2;</SCRIPT>after");
         assert_eq!(toks[0], Token::start("script"));
@@ -473,20 +434,6 @@ mod tests {
         ];
         for case in cases {
             assert_eq!(events(case), tokenize(case), "case {case:?}");
-        }
-    }
-
-    #[test]
-    fn arena_and_plain_agree() {
-        let page = "<html><body><p>a &amp; b</p><div data-x=\"1&lt;2\">c</div></body></html>";
-        let arena = Arena::new();
-        let mut with = EventTokenizer::with_arena(page, &arena);
-        let mut without = EventTokenizer::new(page);
-        loop {
-            match (with.next_event(), without.next_event()) {
-                (None, None) => break,
-                (a, b) => assert_eq!(a.map(Event::into_token), b.map(Event::into_token)),
-            }
         }
     }
 }

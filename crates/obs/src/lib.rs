@@ -5,8 +5,10 @@
 //! Design (DESIGN.md §10):
 //!
 //! * **Dependency-free leaf.** Every other crate may depend on this
-//!   one, so it depends on nothing — including `store`; it carries its
-//!   own minimal JSON parser for the `obs_check` validator.
+//!   one, so it depends on nothing — including `store`, and it parses
+//!   no JSON. The `obs_check` validator for its exports lives in
+//!   `objectrunner-eval` (`eval::obs_check`) and reads them with
+//!   `store::Json`.
 //! * **Zero-cost when disabled.** [`Obs::disabled`] is `const`; every
 //!   operation on a disabled handle is one branch. The `ci.sh`
 //!   bench-smoke stage enforces ≤2% overhead on the annotation bench
@@ -20,7 +22,6 @@
 //!
 //! Metric names follow `objectrunner.<crate>.<stage>.<name>`.
 
-pub mod check;
 pub mod clock;
 pub mod export;
 pub mod metrics;

@@ -35,6 +35,7 @@ use objectrunner_webgen::{generate_drifted, CorpusDir, Domain, MappedText, PageK
 use std::io::{BufRead, BufWriter, Write};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
 fn main() {
@@ -112,7 +113,20 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-fn serve(args: &[String]) -> i32 {
+/// Parse `--name`'s value when the flag is given. A value that does
+/// not parse is reported as `bad --name 'v'` and becomes exit code 2.
+fn parsed_flag<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, i32> {
+    match flag(args, name) {
+        None => Ok(None),
+        Some(v) => v.parse().map(Some).map_err(|_| {
+            eprintln!("bad {name} '{v}'");
+            2
+        }),
+    }
+}
+
+/// The daemon's lifecycle, telemetry and pool settings from its flags.
+fn configure(args: &[String]) -> Result<(ServeConfig, PoolConfig), i32> {
     let mut config = ServeConfig::default();
     if let Some(dir) = flag(args, "--store") {
         config.store_dir = PathBuf::from(dir);
@@ -120,109 +134,51 @@ fn serve(args: &[String]) -> i32 {
     if let Some(dir) = flag(args, "--object-store") {
         config.object_store = Some(PathBuf::from(dir));
     }
-    if let Some(t) = flag(args, "--threshold") {
-        match t.parse() {
-            Ok(v) => config.drift_threshold = v,
-            Err(_) => {
-                eprintln!("bad --threshold '{t}'");
-                return 2;
-            }
-        }
+    if let Some(v) = parsed_flag(args, "--threshold")? {
+        config.drift_threshold = v;
     }
-    if let Some(n) = flag(args, "--min-reinduce-pages") {
-        match n.parse() {
-            Ok(v) => config.min_reinduce_pages = v,
-            Err(_) => {
-                eprintln!("bad --min-reinduce-pages '{n}'");
-                return 2;
-            }
-        }
+    if let Some(v) = parsed_flag(args, "--min-reinduce-pages")? {
+        config.min_reinduce_pages = v;
     }
-    if let Some(f) = flag(args, "--repair-floor") {
-        match f.parse() {
-            Ok(v) => config.repair_floor = v,
-            Err(_) => {
-                eprintln!("bad --repair-floor '{f}'");
-                return 2;
-            }
-        }
+    if let Some(v) = parsed_flag(args, "--repair-floor")? {
+        config.repair_floor = v;
     }
-    if let Some(f) = flag(args, "--empty-page-threshold") {
-        match f.parse() {
-            Ok(v) => config.empty_page_threshold = v,
-            Err(_) => {
-                eprintln!("bad --empty-page-threshold '{f}'");
-                return 2;
-            }
-        }
+    if let Some(v) = parsed_flag(args, "--empty-page-threshold")? {
+        config.empty_page_threshold = v;
     }
     if let Some(path) = flag(args, "--access-log") {
         config.access_log = Some(PathBuf::from(path));
     }
-    if let Some(n) = flag(args, "--access-log-max-bytes") {
-        match n.parse() {
-            Ok(v) => config.access_log_max_bytes = v,
-            Err(_) => {
-                eprintln!("bad --access-log-max-bytes '{n}'");
-                return 2;
-            }
-        }
+    if let Some(v) = parsed_flag(args, "--access-log-max-bytes")? {
+        config.access_log_max_bytes = v;
     }
-    if let Some(n) = flag(args, "--slow-trace-micros") {
-        match n.parse() {
-            Ok(v) => config.slow_trace_micros = Some(v),
-            Err(_) => {
-                eprintln!("bad --slow-trace-micros '{n}'");
-                return 2;
-            }
-        }
+    if let Some(v) = parsed_flag(args, "--slow-trace-micros")? {
+        config.slow_trace_micros = Some(v);
     }
-    if let Some(n) = flag(args, "--watch-interval") {
-        match n.parse() {
-            Ok(v) => config.watch_interval_micros = v,
-            Err(_) => {
-                eprintln!("bad --watch-interval '{n}'");
-                return 2;
-            }
-        }
+    if let Some(v) = parsed_flag(args, "--watch-interval")? {
+        config.watch_interval_micros = v;
     }
     let mut pool = PoolConfig::default();
-    if let Some(n) = flag(args, "--workers") {
-        match n.parse() {
-            Ok(v) => pool.workers = v,
-            Err(_) => {
-                eprintln!("bad --workers '{n}'");
-                return 2;
-            }
-        }
+    if let Some(v) = parsed_flag(args, "--workers")? {
+        pool.workers = v;
     }
-    if let Some(n) = flag(args, "--max-conns") {
-        match n.parse() {
-            Ok(v) => pool.max_conns = v,
-            Err(_) => {
-                eprintln!("bad --max-conns '{n}'");
-                return 2;
-            }
-        }
+    if let Some(v) = parsed_flag(args, "--max-conns")? {
+        pool.max_conns = v;
     }
-    if let Some(n) = flag(args, "--inflight") {
-        match n.parse() {
-            Ok(v) => pool.inflight = v,
-            Err(_) => {
-                eprintln!("bad --inflight '{n}'");
-                return 2;
-            }
-        }
+    if let Some(v) = parsed_flag(args, "--inflight")? {
+        pool.inflight = v;
     }
-    if let Some(n) = flag(args, "--batch") {
-        match n.parse() {
-            Ok(v) => pool.batch_max = v,
-            Err(_) => {
-                eprintln!("bad --batch '{n}'");
-                return 2;
-            }
-        }
+    if let Some(v) = parsed_flag(args, "--batch")? {
+        pool.batch_max = v;
     }
+    Ok((config, pool))
+}
+
+fn serve(args: &[String]) -> i32 {
+    let (config, pool) = match configure(args) {
+        Ok(settings) => settings,
+        Err(code) => return code,
+    };
     let service = Arc::new(Service::new(config));
 
     let listening = flag(args, "--listen").is_some();
@@ -253,7 +209,10 @@ fn serve(args: &[String]) -> i32 {
     // start).
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
-    for line in stdin.lock().lines().map_while(Result::ok) {
+    // Lines are split on raw bytes and decoded lossily, as on TCP, so a
+    // non-UTF-8 line gets an error response instead of ending the loop.
+    for raw in stdin.lock().split(b'\n').map_while(Result::ok) {
+        let line = String::from_utf8_lossy(raw.strip_suffix(b"\r").unwrap_or(&raw));
         if line.trim().is_empty() {
             continue;
         }
@@ -577,12 +536,11 @@ fn extract_stream_cmd(args: &[String]) -> i32 {
         return 1;
     }
     eprintln!(
-        "extract-stream: {} pages, {} objects, {:.0} pages/sec, {} threads, arena peak {} bytes",
+        "extract-stream: {} pages, {} objects, {:.0} pages/sec, {} threads",
         stats.pages,
         stats.objects,
         stats.pages_per_sec(),
-        stats.threads,
-        stats.arena_peak_bytes
+        stats.threads
     );
     if let Some(e) = failed.into_inner().expect("error slot") {
         eprintln!("extract-stream: {e}");

@@ -242,6 +242,38 @@ fn extract_stream_subcommand_matches_extract_file() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A request line that is not UTF-8 gets an error response on the
+/// stdin protocol, like on TCP, and the lines after it are still
+/// answered: one response per non-blank line.
+#[test]
+fn stdin_answers_a_non_utf8_line_and_keeps_going() {
+    use std::io::Write;
+    let dir = scratch_dir("stdin-bytes");
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_objectrunner-serve"))
+        .arg("--store")
+        .arg(dir.join("wrappers"))
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("run objectrunner-serve");
+    let mut stdin = child.stdin.take().expect("stdin");
+    stdin
+        .write_all(b"{\"cmd\":\"status\"}\n\xff\xfe garbage\n{\"cmd\":\"status\"}\n")
+        .expect("write requests");
+    drop(stdin);
+    let output = child.wait_with_output().expect("daemon exits at EOF");
+    assert!(output.status.success());
+    let stdout = String::from_utf8(output.stdout).expect("responses are UTF-8");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 3, "one response per request line: {stdout}");
+    assert!(lines[0].contains("\"ok\":true"), "{}", lines[0]);
+    assert!(lines[1].contains("\"ok\":false"), "{}", lines[1]);
+    assert!(lines[2].contains("\"ok\":true"), "{}", lines[2]);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

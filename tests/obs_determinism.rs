@@ -15,7 +15,7 @@
 
 use objectrunner::core::pipeline::{extract_only_with, Pipeline, PipelineConfig};
 use objectrunner::core::sample::SampleConfig;
-use objectrunner::obs::check::{validate_chrome_trace, validate_events_jsonl};
+use objectrunner::eval::obs_check::{validate_chrome_trace, validate_events_jsonl};
 use objectrunner::obs::{export, Obs};
 use objectrunner::webgen::{generate_site, knowledge, Domain, PageKind, SiteSpec};
 

@@ -4,7 +4,9 @@
 //! materialized `extract_only` path produces, at one worker and at
 //! eight. A second test closes the loop through disk: pages written by
 //! the streaming corpus writer and read back through `mmap` extract
-//! identically to the in-memory strings they came from.
+//! identically to the in-memory strings they came from. A third feeds
+//! pages whose text is spelled with character references, so the
+//! entity-decoding branch of the parser runs on the extraction chain.
 
 use objectrunner::core::pipeline::{extract_only, Pipeline, PipelineConfig};
 use objectrunner::core::sample::SampleConfig;
@@ -143,4 +145,64 @@ fn streamed_extraction_from_mapped_corpus_matches_in_memory() {
     assert_eq!(got, expect, "mmap-fed stream diverged from in-memory batch");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `page` with every `e` and `a` in character data spelled as a
+/// numeric character reference (`&#101;`, `&#x61;`). Markup, comments
+/// and raw-text elements, whose content is never decoded, are copied
+/// as they are, so the rewritten page parses to the same text.
+fn with_entity_text(page: &str) -> String {
+    let spell = |text: &str| text.replace('e', "&#101;").replace('a', "&#x61;");
+    let mut out = String::with_capacity(page.len() * 2);
+    let mut rest = page;
+    while let Some(lt) = rest.find('<') {
+        out.push_str(&spell(&rest[..lt]));
+        rest = &rest[lt..];
+        let close = if rest.starts_with("<!--") { "-->" } else { ">" };
+        let mut end = rest.find(close).map_or(rest.len(), |i| i + close.len());
+        let name: String = rest[1..]
+            .chars()
+            .take_while(char::is_ascii_alphanumeric)
+            .collect::<String>()
+            .to_ascii_lowercase();
+        if ["script", "style", "textarea", "title"].contains(&name.as_str()) {
+            let closing = format!("</{name}");
+            end = rest[end..]
+                .to_ascii_lowercase()
+                .find(&closing)
+                .map_or(rest.len(), |i| end + i);
+        }
+        out.push_str(&rest[..end]);
+        rest = &rest[end..];
+    }
+    out.push_str(&spell(rest));
+    out
+}
+
+#[test]
+fn entity_spelled_pages_extract_like_the_originals() {
+    let domain = Domain::Books;
+    let index = 2;
+    let (wrapper, main_block, clean) = induce(domain, index);
+    let pages = generate_site(&spec(domain, index)).pages;
+    let spelled: Vec<String> = pages.iter().map(|p| with_entity_text(p)).collect();
+    assert!(spelled.iter().all(|p| p.contains("&#101;")));
+
+    let expect = materialized(&wrapper, main_block.as_ref(), &clean, &pages);
+    assert!(
+        expect.iter().any(|page| !page.is_empty()),
+        "source extracts"
+    );
+    assert_eq!(
+        materialized(&wrapper, main_block.as_ref(), &clean, &spelled),
+        expect,
+        "extract_only diverged on entity-spelled pages"
+    );
+    for threads in [1, 8] {
+        assert_eq!(
+            streamed(&wrapper, main_block.as_ref(), &clean, &spelled, threads),
+            expect,
+            "extract_stream threads={threads} diverged on entity-spelled pages"
+        );
+    }
 }

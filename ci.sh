@@ -102,6 +102,24 @@ grep -q 'declined' "$SMOKE/drift_sweep.txt"                       # container ti
 ! grep -q 'BLIND' "$SMOKE/drift_sweep.txt"                        # no silent zero-precision rows
 echo "    repair smoke OK"
 
+# Results gate: regenerate every paper table in results/ with the
+# shipped binaries and require it byte-identical to the committed
+# file. The tables run induction at the default thread count, so this
+# also pins that no change to the pipeline or its scheduler moves a
+# paper number. objstore_summary's latency line reads store timing
+# histograms, so every line but that one is compared.
+echo "==> results gate (paper tables byte-identical to results/)"
+for bin in table1 table2 table3 figure6 support_sweep dictionary_coverage; do
+    target/release/$bin > "$SMOKE/$bin.txt" 2>/dev/null
+    cmp "results/$bin.txt" "$SMOKE/$bin.txt"
+done
+LATENCY='^latency (store histograms)'
+target/release/objstore_summary 2>/dev/null > "$SMOKE/objstore_summary.txt"
+grep -q "$LATENCY" "$SMOKE/objstore_summary.txt"
+cmp <(grep -v "$LATENCY" results/objstore_summary.txt) \
+    <(grep -v "$LATENCY" "$SMOKE/objstore_summary.txt")
+echo "    results gate OK"
+
 # Bench smoke: regenerate the annotation trajectory point and sanity-
 # check its shape. The committed BENCH_annotation.json is a recorded
 # run of the same binary; this stage only asserts the bench still

@@ -3,7 +3,7 @@
 //! Exercises the crawl-scale path end to end: a Cars wrapper is
 //! induced once, two disk corpora are generated with the streaming
 //! writer (N/10 and N pages, same template), and both are extracted
-//! through `extract_stream` reading `mmap`ed pages from disk. The
+//! through `extract_stream` reading pages lazily from disk. The
 //! document records:
 //!
 //! * `pages_per_sec` — streamed throughput over the big corpus;

@@ -1,32 +1,39 @@
-//! Deterministic fan-out executor for the staged pipeline.
+//! The pipeline's one fan-out pool.
 //!
 //! Every per-page stage of the pipeline (parse, clean, segment,
 //! annotate, extract) is embarrassingly parallel, and the §IV
 //! self-validation loop is parallel across candidate support values.
-//! This module provides the one primitive they all share: run a
-//! function over a batch of items on a small scoped-thread worker pool
-//! and return the results **in item-index order**, so the parallel
-//! pipeline is byte-identical to the sequential one no matter how the
-//! scheduler interleaves workers.
+//! `drive` is the one primitive they all share: it runs a function
+//! over an iterator of items on a small scoped-thread worker pool and
+//! hands each result to a sink on the caller's thread **in item-index
+//! order**, so the parallel pipeline is byte-identical to the
+//! sequential one no matter how the scheduler interleaves workers.
+//! [`Executor`] carries the resolved thread count and runs slices
+//! through it; the streaming extractor (`crate::stream`) runs page
+//! iterators through it.
 //!
 //! Design constraints:
 //!
 //! * No heavy dependencies — the pool is hand-rolled on
-//!   [`std::thread::scope`], with an atomic cursor handing out work
-//!   items (cheap dynamic load balancing; pages vary a lot in size).
-//! * Determinism by construction — workers tag each result with its
-//!   item index and the reduction sorts by index, so output order never
-//!   depends on thread timing.
-//! * Honest accounting — every map reports the summed busy time of its
-//!   workers, which the pipeline surfaces as per-stage CPU time next to
-//!   wall-clock time.
+//!   [`std::thread::scope`] with one mutex and two condition variables.
+//! * Determinism by construction — workers claim item indices in
+//!   source order, finished items park in a reorder buffer, and the
+//!   caller drains it in index order, so output order never depends on
+//!   thread timing.
+//! * Bounded memory — workers stall while `claimed - emitted` reaches
+//!   the window, so a page stream holds at most `window` pages at once.
+//!   A slice run passes a window as long as the slice, so a slow item
+//!   never stalls the other workers.
+//! * Honest accounting — every run reports the summed time spent inside
+//!   the per-item function, which the pipeline surfaces as per-stage
+//!   CPU time next to wall-clock time.
 //!
 //! Thread count resolution (see [`resolve_threads`]): an explicit
 //! `PipelineConfig::threads` wins, else the `OBJECTRUNNER_THREADS`
 //! environment variable, else [`std::thread::available_parallelism`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::BTreeMap;
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Environment variable overriding the default worker count.
@@ -50,12 +57,13 @@ pub fn resolve_threads(requested: Option<usize>) -> usize {
         .unwrap_or(1)
 }
 
-/// A fixed-width scoped-thread worker pool.
+/// A fixed-width worker pool over slices.
 ///
 /// The executor owns no threads between calls: each `map`/`for_each`
-/// spins up at most `threads` scoped workers, which exit when the batch
-/// is drained. For the pipeline's batch sizes (tens of pages, a handful
-/// of support values) spawn cost is noise next to item cost.
+/// runs `drive` with at most `threads` scoped workers, which exit
+/// when the batch is drained. For the pipeline's batch sizes (tens of
+/// pages, a handful of support values) spawn cost is noise next to
+/// item cost.
 #[derive(Debug, Clone)]
 pub struct Executor {
     threads: usize,
@@ -104,40 +112,11 @@ impl Executor {
         T: Sync,
         R: Send,
     {
-        let workers = self.threads.min(items.len());
-        if workers <= 1 {
-            let start = Instant::now();
-            let out: Vec<R> = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-            return (out, start.elapsed());
-        }
-        let cursor = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-        let busy = Mutex::new(Duration::ZERO);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| {
-                    let start = Instant::now();
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        local.push((i, f(i, &items[i])));
-                    }
-                    let elapsed = start.elapsed();
-                    collected.lock().expect("worker panicked").extend(local);
-                    *busy.lock().expect("worker panicked") += elapsed;
-                });
-            }
+        let mut out = Vec::with_capacity(items.len());
+        let run = drive(items.iter(), self.threads, items.len(), f, |_, r| {
+            out.push(r)
         });
-        let mut tagged = collected.into_inner().expect("worker panicked");
-        // Index-ordered reduction: output order is item order, never
-        // completion order.
-        tagged.sort_unstable_by_key(|&(i, _)| i);
-        debug_assert_eq!(tagged.len(), items.len());
-        let results = tagged.into_iter().map(|(_, r)| r).collect();
-        (results, busy.into_inner().expect("worker panicked"))
+        (out, run.busy)
     }
 
     /// Apply `f` to every item in place (per-page stages that mutate
@@ -147,35 +126,159 @@ impl Executor {
     where
         T: Send,
     {
-        let workers = self.threads.min(items.len());
-        if workers <= 1 {
-            let start = Instant::now();
-            for (i, t) in items.iter_mut().enumerate() {
-                f(i, t);
-            }
-            return start.elapsed();
-        }
-        // Hand out `&mut T` items through a locked iterator: safe
-        // disjoint-borrow distribution without unsafe code.
-        let queue = Mutex::new(items.iter_mut().enumerate());
-        let busy = Mutex::new(Duration::ZERO);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| {
-                    let start = Instant::now();
-                    loop {
-                        let next = queue.lock().expect("worker panicked").next();
-                        match next {
-                            Some((i, item)) => f(i, item),
-                            None => break,
-                        }
-                    }
-                    *busy.lock().expect("worker panicked") += start.elapsed();
-                });
-            }
-        });
-        busy.into_inner().expect("worker panicked")
+        let window = items.len();
+        drive(items.iter_mut(), self.threads, window, f, |_, ()| {}).busy
     }
+}
+
+/// Totals of one [`drive`] run.
+pub(crate) struct DriveStats {
+    /// Items consumed from the source.
+    pub pages: usize,
+    /// Workers the run used (an inline run counts the caller's thread).
+    pub workers: usize,
+    /// Summed time spent inside the per-item function.
+    pub busy: Duration,
+}
+
+/// Shared scheduler state: the source iterator, the reorder buffer,
+/// and the claim/emit cursors, all under one lock.
+struct State<I, T> {
+    source: I,
+    claimed: usize,
+    emitted: usize,
+    source_done: bool,
+    ready: BTreeMap<usize, T>,
+}
+
+/// Run `work(index, item)` over every item on up to `threads` workers
+/// and hand each result to `sink(index, result)` in item order on the
+/// caller's thread, with at most `window` items claimed but not yet
+/// emitted. Never starts more workers than the source's size hint says
+/// there are items; one worker runs inline with no pool and no locks.
+pub(crate) fn drive<I, T, W, F>(
+    items: I,
+    threads: usize,
+    window: usize,
+    work: W,
+    mut sink: F,
+) -> DriveStats
+where
+    I: IntoIterator,
+    I::IntoIter: Send,
+    I::Item: Send,
+    T: Send,
+    W: Fn(usize, I::Item) -> T + Sync,
+    F: FnMut(usize, T),
+{
+    let source = items.into_iter();
+    let workers = threads
+        .min(source.size_hint().1.unwrap_or(usize::MAX))
+        .max(1);
+    let mut run = DriveStats {
+        pages: 0,
+        workers,
+        busy: Duration::ZERO,
+    };
+
+    if workers == 1 {
+        for (i, item) in source.enumerate() {
+            let start = Instant::now();
+            let out = work(i, item);
+            run.busy += start.elapsed();
+            run.pages += 1;
+            sink(i, out);
+        }
+        return run;
+    }
+
+    let window = window.max(1);
+    let state = Mutex::new(State {
+        source,
+        claimed: 0,
+        emitted: 0,
+        source_done: false,
+        ready: BTreeMap::new(),
+    });
+    // Workers wait on `space` when the window is full; the caller's
+    // thread waits on `ready` for the next in-order item.
+    let space = Condvar::new();
+    let ready = Condvar::new();
+
+    std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers);
+        for _ in 0..workers {
+            handles.push(scope.spawn(|| {
+                let mut busy = Duration::ZERO;
+                loop {
+                    let claim = {
+                        let mut st = state.lock().expect("pool worker panicked");
+                        loop {
+                            if st.source_done {
+                                break None;
+                            }
+                            if st.claimed - st.emitted < window {
+                                match st.source.next() {
+                                    Some(item) => {
+                                        let i = st.claimed;
+                                        st.claimed += 1;
+                                        break Some((i, item));
+                                    }
+                                    None => {
+                                        st.source_done = true;
+                                        // Unblock everyone for shutdown.
+                                        space.notify_all();
+                                        ready.notify_all();
+                                        break None;
+                                    }
+                                }
+                            }
+                            st = space.wait(st).expect("pool worker panicked");
+                        }
+                    };
+                    let Some((i, item)) = claim else { break };
+                    let start = Instant::now();
+                    let out = work(i, item);
+                    busy += start.elapsed();
+                    let mut st = state.lock().expect("pool worker panicked");
+                    st.ready.insert(i, out);
+                    // Only the in-order item unblocks the consumer,
+                    // but waking it on any insert keeps this simple
+                    // and the consumer re-checks under the lock.
+                    ready.notify_all();
+                }
+                busy
+            }));
+        }
+
+        // Consumer: drain the reorder buffer in index order on the
+        // caller's thread; the sink always runs outside the lock.
+        loop {
+            let next = {
+                let mut st = state.lock().expect("pool worker panicked");
+                loop {
+                    let i = st.emitted;
+                    if let Some(out) = st.ready.remove(&i) {
+                        st.emitted += 1;
+                        space.notify_all();
+                        break Some((i, out));
+                    }
+                    if st.source_done && st.emitted == st.claimed {
+                        break None;
+                    }
+                    st = ready.wait(st).expect("pool worker panicked");
+                }
+            };
+            let Some((i, out)) = next else { break };
+            run.pages += 1;
+            sink(i, out);
+        }
+
+        for handle in handles {
+            run.busy += handle.join().expect("pool worker panicked");
+        }
+    });
+    run
 }
 
 #[cfg(test)]

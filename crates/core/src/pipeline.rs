@@ -9,7 +9,7 @@
 //!
 //! The pipeline is *staged*: each step above is a node of the explicit
 //! stage graph in [`crate::stage`], driven by the deterministic fan-out
-//! executor in [`crate::exec`]. Per-page stages run on a worker pool
+//! pool in [`crate::exec`]. Per-page stages run on a worker pool
 //! sized by [`PipelineConfig::threads`] (default: `OBJECTRUNNER_THREADS`
 //! or the machine's available parallelism), and the self-validation
 //! loop evaluates its candidate support values concurrently. All
@@ -18,11 +18,11 @@
 
 use crate::annotate::{AnnotatedPage, Annotator};
 use crate::eqclass::EqConfig;
-use crate::exec::{resolve_threads, Executor};
+use crate::exec::{drive, resolve_threads, Executor};
 use crate::roles::DiffConfig;
 use crate::sample::{select_sample_timed_with, SampleConfig, SampleError, SampleStrategy};
 use crate::stage::{clean_stage, extract_stage, parse_stage, segment_stage, Stage, StageTiming};
-use crate::stream::{drive, process_page, WINDOW_PER_THREAD};
+use crate::stream::process_page;
 use crate::wrapper::{generate_wrapper, Wrapper, WrapperError};
 use objectrunner_html::{CleanOptions, Document};
 use objectrunner_knowledge::recognizer::RecognizerSet;
@@ -263,7 +263,7 @@ impl ExtractOutcome {
 /// byte-for-byte — same cleaning options, same block simplification —
 /// so on pages of the unchanged template the output is identical to a
 /// fresh pipeline run with this wrapper.
-pub fn extract_only<S: AsRef<str>>(
+pub fn extract_only<S: AsRef<str> + Sync>(
     wrapper: &Wrapper,
     main_block: Option<&MainBlockChoice>,
     clean: &CleanOptions,
@@ -302,13 +302,13 @@ const FUSED_STEPS: [(Stage, &str); 4] = [
 /// (the span's own duration).
 ///
 /// Every page runs through the one per-page chain
-/// (`stream::process_page`) on the streaming driver, so the
+/// (`stream::process_page`) on the pool's driver, so the
 /// steps are fused per page rather than staged and have no wall clock
 /// of their own: each step's timing entry carries its summed per-page
 /// time as both wall and CPU, and its `stage.*` child span carries it
 /// as CPU.
 #[allow(clippy::too_many_arguments)]
-pub fn extract_only_with<S: AsRef<str>>(
+pub fn extract_only_with<S: AsRef<str> + Sync>(
     wrapper: &Wrapper,
     main_block: Option<&MainBlockChoice>,
     clean: &CleanOptions,
@@ -326,15 +326,14 @@ pub fn extract_only_with<S: AsRef<str>>(
     if let Some(wait) = queue_wait_micros {
         root.attr_u64("queue_wait_micros", wait);
     }
-    let refs: Vec<&str> = pages.iter().map(AsRef::as_ref).collect();
-    let mut docs = Vec::with_capacity(refs.len());
-    let mut per_page = Vec::with_capacity(refs.len());
+    let mut docs = Vec::with_capacity(pages.len());
+    let mut per_page = Vec::with_capacity(pages.len());
     let mut steps = [Duration::ZERO; 4];
     let run = drive(
-        refs,
+        pages.iter(),
         resolve_threads(threads),
-        WINDOW_PER_THREAD,
-        |_, html| process_page(html, wrapper, main_block, clean),
+        pages.len(),
+        |_, page| process_page(page.as_ref(), wrapper, main_block, clean),
         |_, page| {
             for (total, step) in steps.iter_mut().zip(page.steps) {
                 *total += step;

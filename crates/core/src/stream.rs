@@ -1,41 +1,38 @@
-//! The one extraction path: a per-page function and the driver that
-//! runs it.
+//! The one extraction path: a per-page function and the streaming
+//! entry point that runs it.
 //!
 //! `process_page` takes one page through the extract-only chain —
 //! Parse → Clean → main-block replay → Extract — and times each step.
-//! `drive` runs a per-page function over an *iterator* of pages and
-//! hands each result to a sink on the caller's thread, **in page
-//! order**, holding only a bounded window of pages in memory at once.
-//! Every extract-only entry point is a thin shim over the two:
+//! The pool's `exec::drive` runs it over an *iterator* of
+//! pages and hands each result to a sink on the caller's thread, **in
+//! page order**, holding only a bounded window of pages in memory at
+//! once. Every extract-only entry point is a thin shim over the two:
 //! [`extract_stream`] (crawl scale: instances to a sink, documents
 //! dropped) and [`crate::pipeline::extract_only_with`] (a page slice:
 //! instances and prepared documents collected), so the streamed output
 //! is identical to `extract_only` on the same pages by construction.
 //!
 //! Workers hold no per-page state; each page is parsed by
-//! `html::parse`. One worker runs inline on the caller's thread with no
-//! pool and no locks; more than one share a claim/reorder scheduler
-//! under one mutex: workers claim page indices from the source
-//! iterator, finished pages park in a reorder buffer, and the caller's
-//! thread drains the buffer in index order, invoking the sink outside
-//! the lock. Workers stall whenever
-//! `claimed - emitted` reaches the window, so one slow page cannot let
-//! the buffer grow without bound. Peak memory is
-//! `O(threads × window)` pages regardless of corpus size.
+//! `html::parse`. A stream allows `WINDOW_PER_THREAD` pages in flight
+//! per worker, so peak memory is `O(threads × window)` pages
+//! regardless of corpus size.
 
-use crate::exec::resolve_threads;
+use crate::exec::{drive, resolve_threads};
 use crate::wrapper::Wrapper;
 use objectrunner_html::{clean_document, parse, CleanOptions, Document};
 use objectrunner_obs::Obs;
 use objectrunner_segment::{simplify_to_main_block, MainBlockChoice};
 use objectrunner_sod::Instance;
-use std::collections::BTreeMap;
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Default in-flight pages per worker (see
-/// [`StreamConfig::window_per_thread`]).
-pub(crate) const WINDOW_PER_THREAD: usize = 4;
+/// In-flight pages per worker: the reorder buffer plus the pages being
+/// processed never exceed `threads × WINDOW_PER_THREAD`.
+const WINDOW_PER_THREAD: usize = 4;
+
+/// A `stream.page` span is emitted for one page in every `SPAN_SAMPLE`.
+/// Sampling keeps tracing overhead flat — at this rate it is
+/// unmeasurable next to parse cost.
+const SPAN_SAMPLE: usize = 1024;
 
 /// Configuration for [`extract_stream`].
 #[derive(Debug, Clone)]
@@ -44,13 +41,6 @@ pub struct StreamConfig {
     /// available parallelism (same rule as the batch pipeline).
     /// `Some(1)` runs everything inline on the caller's thread.
     pub threads: Option<usize>,
-    /// In-flight pages allowed per worker: the reorder buffer plus
-    /// pages being processed never exceed `threads × window_per_thread`.
-    pub window_per_thread: usize,
-    /// Emit a `stream.page` span for one page in every `span_sample`
-    /// (0 disables page spans). Sampling keeps tracing overhead flat —
-    /// at the default rate it is unmeasurable next to parse cost.
-    pub span_sample: usize,
     /// Observability handle ([`Obs::disabled`] by default).
     pub obs: Obs,
     /// `(trace, parent span)` to attach this run's spans under.
@@ -61,8 +51,6 @@ impl Default for StreamConfig {
     fn default() -> Self {
         StreamConfig {
             threads: None,
-            window_per_thread: WINDOW_PER_THREAD,
-            span_sample: 1024,
             obs: Obs::disabled(),
             trace_context: None,
         }
@@ -138,155 +126,6 @@ pub(crate) fn process_page(
     }
 }
 
-/// Totals of one `drive` run.
-pub(crate) struct DriveStats {
-    /// Pages consumed from the source.
-    pub pages: usize,
-    /// Workers the run used (the caller's thread counts as one).
-    pub workers: usize,
-    /// Summed time spent inside the per-page function.
-    pub busy: Duration,
-}
-
-/// Shared scheduler state: the source iterator, the reorder buffer,
-/// and the claim/emit cursors, all under one lock.
-struct State<I, T> {
-    source: I,
-    claimed: usize,
-    emitted: usize,
-    source_done: bool,
-    ready: BTreeMap<usize, T>,
-}
-
-/// Run `work(index, html)` over every page on up to `threads`
-/// workers and hand each result to `sink(index, result)` in page order
-/// on the caller's thread. Never starts more workers than the source's
-/// size hint says there are pages; one worker runs inline.
-pub(crate) fn drive<I, T, W, F>(
-    pages: I,
-    threads: usize,
-    window_per_thread: usize,
-    work: W,
-    mut sink: F,
-) -> DriveStats
-where
-    I: IntoIterator,
-    I::IntoIter: Send,
-    I::Item: AsRef<str> + Send,
-    T: Send,
-    W: Fn(usize, &str) -> T + Sync,
-    F: FnMut(usize, T),
-{
-    let source = pages.into_iter();
-    let workers = threads
-        .min(source.size_hint().1.unwrap_or(usize::MAX))
-        .max(1);
-    let mut run = DriveStats {
-        pages: 0,
-        workers,
-        busy: Duration::ZERO,
-    };
-
-    if workers == 1 {
-        for (i, page) in source.enumerate() {
-            let start = Instant::now();
-            let out = work(i, page.as_ref());
-            run.busy += start.elapsed();
-            run.pages += 1;
-            sink(i, out);
-        }
-        return run;
-    }
-
-    let window = workers * window_per_thread.max(1);
-    let state = Mutex::new(State {
-        source,
-        claimed: 0,
-        emitted: 0,
-        source_done: false,
-        ready: BTreeMap::new(),
-    });
-    // Workers wait on `space` when the window is full; the caller's
-    // thread waits on `ready` for the next in-order page.
-    let space = Condvar::new();
-    let ready = Condvar::new();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            handles.push(scope.spawn(|| {
-                let mut busy = Duration::ZERO;
-                loop {
-                    let claim = {
-                        let mut st = state.lock().expect("stream worker panicked");
-                        loop {
-                            if st.source_done {
-                                break None;
-                            }
-                            if st.claimed - st.emitted < window {
-                                match st.source.next() {
-                                    Some(page) => {
-                                        let i = st.claimed;
-                                        st.claimed += 1;
-                                        break Some((i, page));
-                                    }
-                                    None => {
-                                        st.source_done = true;
-                                        // Unblock everyone for shutdown.
-                                        space.notify_all();
-                                        ready.notify_all();
-                                        break None;
-                                    }
-                                }
-                            }
-                            st = space.wait(st).expect("stream worker panicked");
-                        }
-                    };
-                    let Some((i, page)) = claim else { break };
-                    let start = Instant::now();
-                    let out = work(i, page.as_ref());
-                    busy += start.elapsed();
-                    let mut st = state.lock().expect("stream worker panicked");
-                    st.ready.insert(i, out);
-                    // Only the in-order page unblocks the consumer,
-                    // but waking it on any insert keeps this simple
-                    // and the consumer re-checks under the lock.
-                    ready.notify_all();
-                }
-                busy
-            }));
-        }
-
-        // Consumer: drain the reorder buffer in index order on the
-        // caller's thread; the sink always runs outside the lock.
-        loop {
-            let next = {
-                let mut st = state.lock().expect("stream worker panicked");
-                loop {
-                    let i = st.emitted;
-                    if let Some(out) = st.ready.remove(&i) {
-                        st.emitted += 1;
-                        space.notify_all();
-                        break Some((i, out));
-                    }
-                    if st.source_done && st.emitted == st.claimed {
-                        break None;
-                    }
-                    st = ready.wait(st).expect("stream worker panicked");
-                }
-            };
-            let Some((i, out)) = next else { break };
-            run.pages += 1;
-            sink(i, out);
-        }
-
-        for handle in handles {
-            run.busy += handle.join().expect("stream worker panicked");
-        }
-    });
-    run
-}
-
 /// Apply an induced wrapper to a stream of pages, invoking
 /// `sink(page_index, instances)` for every page **in page order** on
 /// the caller's thread. See the module docs for the memory model; the
@@ -314,13 +153,14 @@ where
     };
     let page_span_ctx = root.context();
     let mut objects = 0;
+    let threads = resolve_threads(config.threads);
     let run = drive(
         pages,
-        resolve_threads(config.threads),
-        config.window_per_thread,
-        |i, html| {
-            let span = sampled_span(obs, config, page_span_ctx, i);
-            let out = process_page(html, wrapper, main_block, clean).objects;
+        threads,
+        threads * WINDOW_PER_THREAD,
+        |i, page: S| {
+            let span = sampled_span(obs, page_span_ctx, i);
+            let out = process_page(page.as_ref(), wrapper, main_block, clean).objects;
             finish_page_span(span, &out);
             out
         },
@@ -355,13 +195,8 @@ where
 }
 
 /// The 1-in-N sampled per-page span (inert when not sampled).
-fn sampled_span(
-    obs: &Obs,
-    config: &StreamConfig,
-    ctx: (u64, u64),
-    page: usize,
-) -> Option<objectrunner_obs::Span> {
-    if !obs.is_enabled() || config.span_sample == 0 || !page.is_multiple_of(config.span_sample) {
+fn sampled_span(obs: &Obs, ctx: (u64, u64), page: usize) -> Option<objectrunner_obs::Span> {
+    if !obs.is_enabled() || !page.is_multiple_of(SPAN_SAMPLE) {
         return None;
     }
     let mut span = obs.span_in(ctx.0, ctx.1, "stream.page");
@@ -456,7 +291,6 @@ mod tests {
             pages.iter().map(String::as_str),
             &StreamConfig {
                 threads: Some(threads),
-                window_per_thread: 2,
                 ..StreamConfig::default()
             },
             |i, instances| {
@@ -521,7 +355,6 @@ mod tests {
             pages.iter().map(String::as_str),
             &StreamConfig {
                 threads: Some(2),
-                span_sample: 8,
                 obs: obs.clone(),
                 ..StreamConfig::default()
             },
@@ -549,9 +382,9 @@ mod tests {
             .filter(|s| s.name == "pipeline.extract_stream")
             .collect();
         assert_eq!(roots.len(), 1);
-        // 24 pages at 1-in-8 sampling: pages 0, 8, 16.
+        // 24 pages at 1-in-SPAN_SAMPLE sampling: page 0 only.
         let page_spans: Vec<_> = spans.iter().filter(|s| s.name == "stream.page").collect();
-        assert_eq!(page_spans.len(), 3);
+        assert_eq!(page_spans.len(), 1);
         for s in &page_spans {
             assert_eq!(s.parent, roots[0].id, "page span attached to root");
         }
@@ -580,6 +413,32 @@ mod tests {
                 stats.busy_micros
             );
         }
+    }
+
+    #[test]
+    fn deeply_nested_page_runs_on_a_small_stack() {
+        let (wrapper, main_block, clean, _) = induce();
+        let depth = 100_000;
+        let html = format!(
+            "<html><body>{}x{}</body></html>",
+            "<div>".repeat(depth),
+            "</div>".repeat(depth)
+        );
+        // A stack overflow aborts the process, so reaching `join` at
+        // all is the assertion.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let mut doc = parse(&html);
+                clean_document(&mut doc, &clean);
+                let root = doc.root();
+                assert!(objectrunner_html::to_html(&doc, root).contains('x'));
+                assert!(!objectrunner_html::token_stream(&doc, root).is_empty());
+                process_page(&html, &wrapper, main_block.as_ref(), &clean);
+            })
+            .expect("spawn")
+            .join()
+            .expect("deep page processed");
     }
 
     #[test]

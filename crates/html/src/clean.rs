@@ -55,9 +55,7 @@ pub fn clean_document(doc: &mut Document, opts: &CleanOptions) {
         .descendants(doc.root())
         .filter(|&id| should_drop(doc, id, opts))
         .collect();
-    for id in victims {
-        doc.detach(id);
-    }
+    doc.detach_all(&victims);
 
     strip_attrs(doc, opts);
 
@@ -76,9 +74,7 @@ pub fn clean_document(doc: &mut Document, opts: &CleanOptions) {
             if empties.is_empty() {
                 break;
             }
-            for id in empties {
-                doc.detach(id);
-            }
+            doc.detach_all(&empties);
         }
     }
 }
@@ -130,9 +126,7 @@ fn normalize_text_nodes(doc: &mut Document) {
             }
         }
     }
-    for id in empty_text {
-        doc.detach(id);
-    }
+    doc.detach_all(&empty_text);
 }
 
 fn is_empty_element(doc: &Document, id: NodeId) -> bool {

@@ -19,7 +19,7 @@
 //!   per object. Exercises the store's cold-process fidelity: the
 //!   loading process has empty interner tables.
 //! * `extract-stream` — the crawl-scale sibling of `extract-file`:
-//!   pages are `mmap`ed lazily and fed through the streaming,
+//!   pages are read from disk lazily and fed through the streaming,
 //!   memory-bounded extraction path, printing one JSON line **per
 //!   page** as it completes. Peak memory is the working window, not
 //!   the corpus.
@@ -31,7 +31,7 @@ use objectrunner_obs::Obs;
 use objectrunner_serve::service::instance_json;
 use objectrunner_serve::{serve_tcp, PoolConfig, ServeConfig, Service};
 use objectrunner_store::{load_file, Json};
-use objectrunner_webgen::{generate_drifted, CorpusDir, Domain, MappedText, PageKind, SiteSpec};
+use objectrunner_webgen::{generate_drifted, CorpusDir, Domain, PageKind, SiteSpec};
 use std::io::{BufRead, BufWriter, Write};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
@@ -353,7 +353,7 @@ fn extract_file(args: &[String]) -> i32 {
 }
 
 /// `extract-stream`: apply a stored wrapper to a corpus directory via
-/// the streaming path — pages `mmap`ed lazily, a bounded window in
+/// the streaming path — pages read lazily, a bounded window in
 /// flight, one JSON line per page in page order — then a run summary
 /// on stderr. Output objects are byte-identical to `extract-file`'s;
 /// only the line grouping differs (per page instead of per object).
@@ -435,27 +435,14 @@ fn extract_stream_cmd(args: &[String]) -> i32 {
     };
 
     // The scheduler cannot abort mid-stream, so a page that fails to
-    // map streams as empty and the first error is reported afterwards.
-    enum Page {
-        Text(MappedText),
-        Failed,
-    }
-    impl AsRef<str> for Page {
-        fn as_ref(&self) -> &str {
-            match self {
-                Page::Text(t) => t.as_str(),
-                Page::Failed => "",
-            }
-        }
-    }
+    // read streams as empty and the first error is reported afterwards.
     let failed: Mutex<Option<String>> = Mutex::new(None);
-    let pages = corpus.pages().map(|r| match r {
-        Ok(text) => Page::Text(text),
-        Err(e) => {
+    let pages = corpus.pages().map(|r| {
+        r.unwrap_or_else(|e| {
             let mut first = failed.lock().expect("error slot");
             first.get_or_insert_with(|| e.to_string());
-            Page::Failed
-        }
+            String::new()
+        })
     });
 
     let stdout = std::io::stdout();

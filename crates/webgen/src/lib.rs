@@ -28,14 +28,12 @@ pub mod corpus;
 pub mod data;
 pub mod domain;
 pub mod knowledge;
-pub mod mmapfile;
 pub mod outdir;
 pub mod site;
 
 pub use corpus::{paper_corpus, CorpusSpec};
 pub use domain::{Domain, GoldObject};
-pub use mmapfile::{MappedFile, MappedText};
-pub use outdir::{page_file_name, write_corpus, CorpusDir, CorpusWriteStats};
+pub use outdir::{page_file_name, write_corpus, CorpusDir, CorpusWriteStats, MappedText};
 pub use site::{
     generate_drifted, generate_site, generate_site_with, site_pages, Drift, PageKind, Quirk,
     SitePages, SiteSpec, Source,

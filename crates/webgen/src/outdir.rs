@@ -13,14 +13,13 @@
 //!   …
 //! ```
 //!
-//! [`CorpusDir`] reads the layout back, handing out each page as a
-//! [`MappedText`] — a read-only `mmap` where available — so the
-//! streaming extraction path never holds more pages resident than its
-//! working window. Generation is deterministic: the same spec (same
+//! [`CorpusDir`] reads the layout back one page at a time, each page
+//! read into an owned `String` only when the consumer asks for it, so
+//! the streaming extraction path never holds more pages in memory than
+//! its working window. Generation is deterministic: the same spec (same
 //! seed) always produces byte-identical files, which is what lets
 //! benchmark corpora be regenerated instead of shipped.
 
-use crate::mmapfile::MappedText;
 use crate::site::{site_pages, Drift, PageKind, SiteSpec};
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
@@ -99,6 +98,17 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// The page type the benchmark harness imports. It is the page's
+/// owned text, as [`CorpusDir::page`] returns it.
+pub type MappedText = String;
+
+/// Read one page file. Every error, invalid UTF-8 included, names the
+/// file.
+fn read_page(path: &Path) -> io::Result<String> {
+    fs::read_to_string(path)
+        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))
+}
+
 /// A corpus directory opened for reading: the sorted page files.
 pub struct CorpusDir {
     files: Vec<PathBuf>,
@@ -132,9 +142,9 @@ impl CorpusDir {
         self.files.is_empty()
     }
 
-    /// Map page `i`.
-    pub fn page(&self, i: usize) -> io::Result<MappedText> {
-        MappedText::open(&self.files[i])
+    /// Read page `i`.
+    pub fn page(&self, i: usize) -> io::Result<String> {
+        read_page(&self.files[i])
     }
 
     /// Stable page id for page `i`: the file stem (consumers record it
@@ -146,11 +156,11 @@ impl CorpusDir {
             .unwrap_or_else(|| self.files[i].display().to_string())
     }
 
-    /// Stream all pages in order, mapping each lazily. I/O errors
-    /// surface per page; at most one page is mapped per loan the
-    /// caller holds, so memory stays bounded by the consumer's window.
-    pub fn pages(&self) -> impl Iterator<Item = io::Result<MappedText>> + Send + '_ {
-        self.files.iter().map(|p| MappedText::open(p))
+    /// Stream all pages in order, reading each lazily. I/O errors
+    /// surface per page; a page is read only when the caller pulls it,
+    /// so memory stays bounded by the consumer's window.
+    pub fn pages(&self) -> impl Iterator<Item = io::Result<String>> + Send + '_ {
+        self.files.iter().map(|p| read_page(p))
     }
 }
 
@@ -231,9 +241,34 @@ mod tests {
         let corpus = CorpusDir::open(&dir).expect("open");
         assert_eq!(corpus.len(), 5);
         for (i, page) in corpus.pages().enumerate() {
-            let page = page.expect("map page");
-            assert_eq!(page.as_str(), source.pages[i], "page {i}");
+            let page = page.expect("read page");
+            assert_eq!(page, source.pages[i], "page {i}");
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn page_read_survives_truncation_of_its_file() {
+        let dir = tmp_dir("truncate");
+        write_corpus(&spec(1), &Drift::NONE, &dir).expect("write");
+        let path = dir.join(page_file_name(0));
+        let written = fs::read_to_string(&path).expect("page file");
+        let corpus = CorpusDir::open(&dir).expect("open");
+        let page = corpus.page(0).expect("read page");
+        File::create(&path).expect("truncate");
+        assert_eq!(page, written, "a read page must not see later writes");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn invalid_utf8_page_error_names_the_file() {
+        let dir = tmp_dir("utf8");
+        fs::create_dir_all(&dir).expect("mkdir");
+        fs::write(dir.join("bad.html"), [0xff, 0xfe, 0x41]).expect("write");
+        let corpus = CorpusDir::open(&dir).expect("open");
+        let err = corpus.page(0).expect_err("not UTF-8");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("bad.html"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -3,7 +3,7 @@
 //! deliver — page by page, in page order — exactly the instances the
 //! materialized `extract_only` path produces, at one worker and at
 //! eight. A second test closes the loop through disk: pages written by
-//! the streaming corpus writer and read back through `mmap` extract
+//! the streaming corpus writer and read back through `CorpusDir` extract
 //! identically to the in-memory strings they came from. A third feeds
 //! pages whose text is spelled with character references, so the
 //! entity-decoding branch of the parser runs on the extraction chain.
@@ -135,14 +135,14 @@ fn streamed_extraction_from_mapped_corpus_matches_in_memory() {
         &wrapper,
         main_block.as_ref(),
         &clean,
-        corpus.pages().map(|r| r.expect("map page")),
+        corpus.pages().map(|r| r.expect("read page")),
         &StreamConfig {
             threads: Some(8),
             ..StreamConfig::default()
         },
         |_, instances| got.push(instances.iter().map(|o| o.to_string()).collect()),
     );
-    assert_eq!(got, expect, "mmap-fed stream diverged from in-memory batch");
+    assert_eq!(got, expect, "disk-fed stream diverged from in-memory batch");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -137,9 +137,7 @@ pub fn simplify_to_main_block(doc: &mut Document, choice: &MainBlockChoice) -> O
             .copied()
             .filter(|&c| c != keep)
             .collect();
-        for s in siblings {
-            doc.detach(s);
-        }
+        doc.detach_all(&siblings);
         keep = parent;
     }
     Some(target)

@@ -7,12 +7,13 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-# The full suite runs twice: once pinned to a sequential executor and
-# once on an 8-worker pool. Each run is a fresh process, so the second
-# pass also proves the parallel pipeline reproduces the golden
-# snapshots with its own interner state — the cross-process half of
-# the determinism guarantee (tests/determinism.rs is the in-process
-# half).
+# The full suite runs twice: once with extraction pinned to one worker
+# and once on an 8-worker pool. Extraction fans pages out on the pool
+# (`OBJECTRUNNER_THREADS` sizes it); induction does not fan out and
+# reads no thread setting, so the second pass checks the extract-only
+# paths against the same goldens at another worker count.
+# tests/determinism.rs pins that no output depends on the interner's
+# numbering.
 echo "==> cargo test (OBJECTRUNNER_THREADS=1)"
 OBJECTRUNNER_THREADS=1 cargo test --workspace -q
 
@@ -104,9 +105,7 @@ echo "    repair smoke OK"
 
 # Results gate: regenerate every paper table in results/ with the
 # shipped binaries and require it byte-identical to the committed
-# file. The tables run induction at the default thread count, so this
-# also pins that no change to the pipeline or its scheduler moves a
-# paper number. objstore_summary's latency line reads store timing
+# file, so no change to the pipeline moves a paper number. objstore_summary's latency line reads store timing
 # histograms, so every line but that one is compared.
 echo "==> results gate (paper tables byte-identical to results/)"
 for bin in table1 table2 table3 figure6 support_sweep dictionary_coverage; do
@@ -240,7 +239,7 @@ echo "    serve-load smoke OK"
 # bench_annotation above: enabled tracing must stay within 2%
 # (+500 us slack) of the disabled run.
 echo "==> obs smoke (exporters + baseline diff + overhead budget)"
-target/release/obs_golden --out "$SMOKE/obs" --threads 2 > "$SMOKE/obs_report.txt"
+target/release/obs_golden --out "$SMOKE/obs" > "$SMOKE/obs_report.txt"
 OBS_CHECK=target/release/obs_check
 "$OBS_CHECK" jsonl "$SMOKE/obs/events.jsonl"
 "$OBS_CHECK" chrome "$SMOKE/obs/trace.json"

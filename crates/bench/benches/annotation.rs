@@ -7,7 +7,6 @@ use objectrunner_bench::bench_source;
 use objectrunner_core::annotate::{
     annotate_page, propagate_upwards_into, AnnotationMap, Annotator,
 };
-use objectrunner_core::exec::Executor;
 use objectrunner_core::sample::{select_sample, SampleConfig, SampleStrategy};
 use objectrunner_html::{clean_document, parse, CleanOptions, Document};
 use objectrunner_webgen::{knowledge, Domain};
@@ -94,20 +93,19 @@ fn sampling(c: &mut Criterion) {
             SampleStrategy::SodBased => "sod_based",
             SampleStrategy::Random(_) => "random",
         };
-        let exec = Executor::sequential();
         group.bench_function(BenchmarkId::new("algorithm1", label), |b| {
             b.iter(|| {
                 black_box(
                     select_sample(
                         &docs,
                         &recognizers,
+                        &Annotator::new(&recognizers),
                         &sod,
                         &SampleConfig {
                             sample_size: 10,
                             ..SampleConfig::default()
                         },
                         strategy,
-                        &exec,
                     )
                     .expect("sample"),
                 )

@@ -102,37 +102,5 @@ fn tokenize_and_roles(c: &mut Criterion) {
     group.finish();
 }
 
-/// Thread-scaling curve for the staged executor: the full pipeline
-/// (parse → clean → segment → annotate/sample → wrap → extract) on a
-/// 12-page source at 1/2/4/8 worker threads. Output is byte-identical
-/// at every point (see `tests/determinism.rs`); this measures only the
-/// wall-clock effect of the fan-out. Recorded in EXPERIMENTS.md.
-fn thread_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("thread_scaling");
-    group.sample_size(10);
-    let source = bench_source(Domain::Concerts, 12);
-    for threads in [1usize, 2, 4, 8] {
-        let mut config = bench_config();
-        config.threads = Some(threads);
-        group.bench_with_input(
-            BenchmarkId::new("pipeline_12_pages", threads),
-            &config,
-            |b, config| {
-                b.iter(|| {
-                    let pipeline = bench_pipeline(Domain::Concerts, config.clone());
-                    black_box(pipeline.run_on_html(&source.pages).expect("wraps"))
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    wrapping,
-    extraction,
-    tokenize_and_roles,
-    thread_scaling
-);
+criterion_group!(benches, wrapping, extraction, tokenize_and_roles);
 criterion_main!(benches);

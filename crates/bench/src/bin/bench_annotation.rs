@@ -78,14 +78,13 @@ fn micros(f: impl FnOnce()) -> u128 {
     t.elapsed().as_micros()
 }
 
-/// Full-pipeline wall (threads = 1) with the given obs handle.
+/// Full-pipeline wall with the given obs handle.
 fn pipeline_wall_micros(
     domain: Domain,
     source: &objectrunner_webgen::Source,
     obs: &objectrunner_obs::Obs,
 ) -> u128 {
     let mut cfg = bench_config();
-    cfg.threads = Some(1);
     cfg.obs = obs.clone();
     micros(|| {
         black_box(run_pipeline(domain, source, cfg));
@@ -121,7 +120,6 @@ fn obs_overhead() -> (u128, u128) {
     let enabled = (0..5)
         .map(|_| {
             let mut cfg = bench_config();
-            cfg.threads = Some(1);
             cfg.obs = enabled_obs.clone();
             micros(|| {
                 black_box(run_pipeline(domain, &source, cfg));
@@ -171,11 +169,9 @@ fn main() {
         let cold = micros(|| compiled_all(&docs, &set, &annotator));
         let warm = micros(|| compiled_all(&docs, &set, &annotator));
 
-        // The staged pipeline's own accounting at threads = 1.
+        // The staged pipeline's own accounting.
         let source = bench_source(domain, PAGES);
-        let mut cfg = bench_config();
-        cfg.threads = Some(1);
-        let outcome = run_pipeline(domain, &source, cfg);
+        let outcome = run_pipeline(domain, &source, bench_config());
         let stage = outcome
             .stats
             .stage(Stage::Annotate)

@@ -1,16 +1,14 @@
 //! The pipeline's one fan-out pool.
 //!
-//! Every per-page stage of the pipeline (parse, clean, segment,
-//! annotate, extract) is embarrassingly parallel, and the §IV
-//! self-validation loop is parallel across candidate support values.
-//! `drive` is the one primitive they all share: it runs a function
-//! over an iterator of items on a small scoped-thread worker pool and
-//! hands each result to a sink on the caller's thread **in item-index
-//! order**, so the parallel pipeline is byte-identical to the
-//! sequential one no matter how the scheduler interleaves workers.
-//! [`Executor`] carries the resolved thread count and runs slices
-//! through it; the streaming extractor (`crate::stream`) runs page
-//! iterators through it.
+//! Extraction is embarrassingly parallel across pages, so the
+//! extract-only paths (`pipeline::extract_only_with` and
+//! `stream::extract_stream`) run their per-page function through
+//! `drive`: a small scoped-thread worker pool that hands each result
+//! to a sink on the caller's thread **in item-index order**, so the
+//! parallel output is byte-identical to the sequential one no matter
+//! how the scheduler interleaves workers. Induction does not fan out:
+//! it runs on its caller's thread, because parallelism pays across
+//! sources and requests, not inside one source's ~20-page sample.
 //!
 //! Design constraints:
 //!
@@ -25,12 +23,12 @@
 //!   A slice run passes a window as long as the slice, so a slow item
 //!   never stalls the other workers.
 //! * Honest accounting — every run reports the summed time spent inside
-//!   the per-item function, which the pipeline surfaces as per-stage
+//!   the per-item function, which extraction surfaces as per-stage
 //!   CPU time next to wall-clock time.
 //!
 //! Thread count resolution (see [`resolve_threads`]): an explicit
-//! `PipelineConfig::threads` wins, else the `OBJECTRUNNER_THREADS`
-//! environment variable, else [`std::thread::available_parallelism`].
+//! request wins, else the `OBJECTRUNNER_THREADS` environment variable,
+//! else [`std::thread::available_parallelism`].
 
 use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex};
@@ -55,80 +53,6 @@ pub fn resolve_threads(requested: Option<usize>) -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// A fixed-width worker pool over slices.
-///
-/// The executor owns no threads between calls: each `map`/`for_each`
-/// runs `drive` with at most `threads` scoped workers, which exit
-/// when the batch is drained. For the pipeline's batch sizes (tens of
-/// pages, a handful of support values) spawn cost is noise next to
-/// item cost.
-#[derive(Debug, Clone)]
-pub struct Executor {
-    threads: usize,
-}
-
-impl Executor {
-    /// An executor with exactly `threads` workers (floor 1).
-    pub fn new(threads: usize) -> Executor {
-        Executor {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The single-threaded executor (runs everything inline).
-    pub fn sequential() -> Executor {
-        Executor::new(1)
-    }
-
-    /// An executor sized by [`resolve_threads`].
-    pub fn from_env(requested: Option<usize>) -> Executor {
-        Executor::new(resolve_threads(requested))
-    }
-
-    /// Configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Apply `f` to every item, returning results in item order.
-    pub fn map<T, R>(&self, items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-    {
-        self.map_timed(items, f).0
-    }
-
-    /// [`Executor::map`] plus the summed busy time of all workers (the
-    /// stage's CPU cost, as opposed to its wall-clock cost).
-    pub fn map_timed<T, R>(
-        &self,
-        items: &[T],
-        f: impl Fn(usize, &T) -> R + Sync,
-    ) -> (Vec<R>, Duration)
-    where
-        T: Sync,
-        R: Send,
-    {
-        let mut out = Vec::with_capacity(items.len());
-        let run = drive(items.iter(), self.threads, items.len(), f, |_, r| {
-            out.push(r)
-        });
-        (out, run.busy)
-    }
-
-    /// Apply `f` to every item in place (per-page stages that mutate
-    /// documents: cleaning, main-block simplification). Returns the
-    /// summed worker busy time.
-    pub fn for_each_mut<T>(&self, items: &mut [T], f: impl Fn(usize, &mut T) + Sync) -> Duration
-    where
-        T: Send,
-    {
-        let window = items.len();
-        drive(items.iter_mut(), self.threads, window, f, |_, ()| {}).busy
-    }
 }
 
 /// Totals of one [`drive`] run.
@@ -285,12 +209,23 @@ where
 mod tests {
     use super::*;
 
+    /// Run `f` over `items` on `threads` workers, collecting results
+    /// in the order the sink receives them.
+    fn collect<T: Sync, R: Send>(
+        items: &[T],
+        threads: usize,
+        f: impl Fn(usize, &T) -> R + Sync,
+    ) -> Vec<R> {
+        let mut out = Vec::with_capacity(items.len());
+        drive(items.iter(), threads, items.len(), f, |_, r| out.push(r));
+        out
+    }
+
     #[test]
     fn map_preserves_item_order() {
-        let exec = Executor::new(8);
         let items: Vec<usize> = (0..257).collect();
         // Uneven per-item cost to force out-of-order completion.
-        let out = exec.map(&items, |i, &x| {
+        let out = collect(&items, 8, |i, &x| {
             if i % 7 == 0 {
                 std::thread::sleep(Duration::from_micros(200));
             }
@@ -303,40 +238,32 @@ mod tests {
     fn map_matches_sequential_exactly() {
         let items: Vec<String> = (0..64).map(|i| format!("item-{i}")).collect();
         let f = |i: usize, s: &String| format!("{i}:{s}");
-        let seq = Executor::sequential().map(&items, f);
-        let par = Executor::new(8).map(&items, f);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn for_each_mut_touches_every_item_once() {
-        let exec = Executor::new(4);
-        let mut items = vec![0u32; 100];
-        exec.for_each_mut(&mut items, |i, x| *x += i as u32 + 1);
-        for (i, &x) in items.iter().enumerate() {
-            assert_eq!(x, i as u32 + 1);
-        }
+        assert_eq!(collect(&items, 1, f), collect(&items, 8, f));
     }
 
     #[test]
     fn empty_and_single_batches_work() {
-        let exec = Executor::new(8);
         let empty: Vec<u32> = Vec::new();
-        assert!(exec.map(&empty, |_, &x| x).is_empty());
-        assert_eq!(exec.map(&[41u32], |_, &x| x + 1), vec![42]);
-        let mut one = [10u32];
-        exec.for_each_mut(&mut one, |_, x| *x *= 2);
-        assert_eq!(one, [20]);
+        assert!(collect(&empty, 8, |_, &x| x).is_empty());
+        assert_eq!(collect(&[41u32], 8, |_, &x| x + 1), vec![42]);
     }
 
     #[test]
-    fn map_timed_reports_busy_time() {
-        let exec = Executor::new(2);
+    fn drive_reports_busy_time() {
         let items: Vec<u32> = (0..8).collect();
-        let (_, busy) = exec.map_timed(&items, |_, _| {
-            std::thread::sleep(Duration::from_millis(2));
-        });
-        assert!(busy >= Duration::from_millis(8), "busy = {busy:?}");
+        let run = drive(
+            items.iter(),
+            2,
+            items.len(),
+            |_, _| std::thread::sleep(Duration::from_millis(2)),
+            |_, ()| {},
+        );
+        assert_eq!(run.pages, 8);
+        assert!(
+            run.busy >= Duration::from_millis(8),
+            "busy = {:?}",
+            run.busy
+        );
     }
 
     #[test]

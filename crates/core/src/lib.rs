@@ -45,8 +45,9 @@
 //!
 //! * [`stage`] — the explicit stage graph (Parse → Clean → Segment →
 //!   Annotate/Sample → Wrap → Extract) with per-stage timings.
-//! * [`exec`] — the deterministic scoped-thread executor driving the
-//!   per-page and per-support fan-out.
+//! * [`exec`] — the deterministic scoped-thread pool that fans the
+//!   extract-only paths out across pages (induction runs on the
+//!   caller's thread).
 //! * [`stream`] — the one extract-only path: a per-page Parse → Clean →
 //!   main-block replay → Extract function and the bounded-window driver
 //!   that runs it over an iterator of pages, behind both
@@ -69,7 +70,6 @@ pub mod treediff;
 pub mod wrapper;
 
 pub use annotate::{annotate_page, AnnotatedPage, Annotation};
-pub use exec::Executor;
 pub use pipeline::{Pipeline, PipelineConfig, PipelineError, PipelineOutcome};
 pub use stage::{Stage, StageTiming};
 pub use stream::{extract_stream, StreamConfig, StreamStats};

@@ -13,20 +13,18 @@
 //! `(page index, annotation map)` pairs over `&[Document]`, and only
 //! the final k sample pages are cloned into owned [`AnnotatedPage`]s
 //! for wrapper induction. Annotation rounds and the block-threshold
-//! check fan out per page on the caller's [`Executor`]; every
-//! cross-page reduction runs in page-index order, so the result is
-//! identical at any thread count.
+//! check loop over the pool in page-index order on the caller's
+//! thread, so every cross-page reduction has one fixed order.
 
 use crate::annotate::{
     propagate_upwards_into, AnnotatedPage, AnnotationMap, Annotator, PageMatches,
 };
-use crate::exec::Executor;
 use objectrunner_html::{Document, NodeKind};
 use objectrunner_knowledge::recognizer::RecognizerSet;
 use objectrunner_segment::{block_tree, layout_document, LayoutOptions};
 use objectrunner_sod::Sod;
 use std::collections::HashMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Sampling parameters.
 #[derive(Debug, Clone)]
@@ -95,9 +93,9 @@ pub struct SampleOutcome {
     /// The k sample pages, annotated (the only pages cloned out of the
     /// borrowed source).
     pub sample: Vec<AnnotatedPage>,
-    /// Summed worker busy time of the annotation rounds.
+    /// Time spent in the annotation rounds.
     pub annotate_busy: Duration,
-    /// Summed worker busy time of selection proper — page scoring,
+    /// Time spent in selection proper — page scoring,
     /// shrinking, and the §III-E block-threshold check. Disjoint from
     /// `annotate_busy`, so the pipeline can attribute annotation CPU
     /// and selection CPU to their own stages without double-counting.
@@ -109,69 +107,25 @@ pub struct SampleOutcome {
 /// Both strategies return fully annotated pages; they differ only in
 /// *which* pages form the sample (the Table II comparison keeps
 /// everything else equal). Documents are borrowed — only the selected
-/// sample pages are cloned.
+/// sample pages are cloned. `annotator` must be compiled from
+/// `recognizers`; a caller-owned one keeps the compiled automatons and
+/// the text memo cache warm across calls (pipeline re-runs, serving
+/// re-inductions).
 pub fn select_sample(
     docs: &[Document],
     recognizers: &RecognizerSet,
-    sod: &Sod,
-    config: &SampleConfig,
-    strategy: SampleStrategy,
-    exec: &Executor,
-) -> Result<Vec<AnnotatedPage>, SampleError> {
-    select_sample_timed(docs, recognizers, sod, config, strategy, exec).map(|o| o.sample)
-}
-
-/// [`select_sample`] with annotation-CPU accounting (pipeline use).
-pub fn select_sample_timed(
-    docs: &[Document],
-    recognizers: &RecognizerSet,
-    sod: &Sod,
-    config: &SampleConfig,
-    strategy: SampleStrategy,
-    exec: &Executor,
-) -> Result<SampleOutcome, SampleError> {
-    // Transient compiled engine; callers that sample repeatedly should
-    // use [`select_sample_timed_with`] to keep the memo cache warm.
-    let annotator = Annotator::new(recognizers);
-    select_sample_timed_with(docs, recognizers, &annotator, sod, config, strategy, exec)
-}
-
-/// [`select_sample`] over a caller-owned [`Annotator`], so the compiled
-/// recognizers and the text memo cache survive across calls (pipeline
-/// re-runs, serving re-inductions).
-pub fn select_sample_with(
-    docs: &[Document],
-    recognizers: &RecognizerSet,
     annotator: &Annotator,
     sod: &Sod,
     config: &SampleConfig,
     strategy: SampleStrategy,
-    exec: &Executor,
-) -> Result<Vec<AnnotatedPage>, SampleError> {
-    select_sample_timed_with(docs, recognizers, annotator, sod, config, strategy, exec)
-        .map(|o| o.sample)
-}
-
-/// [`select_sample_timed`] over a caller-owned [`Annotator`].
-#[allow(clippy::too_many_arguments)]
-pub fn select_sample_timed_with(
-    docs: &[Document],
-    recognizers: &RecognizerSet,
-    annotator: &Annotator,
-    sod: &Sod,
-    config: &SampleConfig,
-    strategy: SampleStrategy,
-    exec: &Executor,
 ) -> Result<SampleOutcome, SampleError> {
     if docs.is_empty() {
         return Err(SampleError::EmptySource);
     }
     match strategy {
-        SampleStrategy::SodBased => {
-            sod_based_sample(docs, recognizers, annotator, sod, config, exec)
-        }
+        SampleStrategy::SodBased => sod_based_sample(docs, recognizers, annotator, sod, config),
         SampleStrategy::Random(seed) => {
-            random_sample(docs, recognizers, annotator, sod, config, seed, exec)
+            random_sample(docs, recognizers, annotator, sod, config, seed)
         }
     }
 }
@@ -208,7 +162,6 @@ fn sod_based_sample(
     annotator: &Annotator,
     sod: &Sod,
     config: &SampleConfig,
-    exec: &Executor,
 ) -> Result<SampleOutcome, SampleError> {
     let types = sod_types(sod, recognizers);
     let mut annotate_busy = Duration::ZERO;
@@ -225,21 +178,22 @@ fn sod_based_sample(
     let mut min_scores: Vec<f64> = vec![f64::INFINITY; pool.len()];
 
     for type_name in &types {
-        // Annotation round for this type, fanned out per page.
-        annotate_busy += exec.for_each_mut(&mut pool, |_, page| {
+        // Annotation round for this type, page by page.
+        let round_start = Instant::now();
+        for page in &mut pool {
             let matches = page
                 .matches
                 .get_or_insert_with(|| annotator.page_matches(&docs[page.index]));
             annotator.annotate_from_matches(matches, &mut page.annotations, type_name);
-        });
+        }
+        annotate_busy += round_start.elapsed();
         // Page score for this type (Eq. 3), fold into running minimum.
-        let (scores, score_busy) = exec.map_timed(&pool, |_, page| {
-            page_type_score(&docs[page.index], &page.annotations, recognizers, type_name)
-        });
-        select_busy += score_busy;
-        for (s, min_score) in scores.into_iter().zip(min_scores.iter_mut()) {
+        let score_start = Instant::now();
+        for (page, min_score) in pool.iter().zip(min_scores.iter_mut()) {
+            let s = page_type_score(&docs[page.index], &page.annotations, recognizers, type_name);
             *min_score = min_score.min(s);
         }
+        select_busy += score_start.elapsed();
         // Keep the richest pages only (shrink, floor at sample_size).
         let keep = ((pool.len() as f64 * config.shrink_factor).ceil() as usize)
             .max(config.sample_size)
@@ -257,11 +211,15 @@ fn sod_based_sample(
         min_scores = order.iter().map(|&i| min_scores[i]).collect();
     }
 
-    annotate_busy += exec.for_each_mut(&mut pool, |_, page| {
+    let propagate_start = Instant::now();
+    for page in &mut pool {
         propagate_upwards_into(&docs[page.index], &mut page.annotations);
-    });
+    }
+    annotate_busy += propagate_start.elapsed();
 
-    select_busy += check_block_threshold(docs, &pool, config, exec)?;
+    let threshold_start = Instant::now();
+    check_block_threshold(docs, &pool, config)?;
+    select_busy += threshold_start.elapsed();
 
     // Final sample: the k most annotated pages. Pages with no
     // annotations at all (interstitials, category browses) never
@@ -298,7 +256,6 @@ fn random_sample(
     sod: &Sod,
     config: &SampleConfig,
     seed: u64,
-    exec: &Executor,
 ) -> Result<SampleOutcome, SampleError> {
     let types = sod_types(sod, recognizers);
     let k = config.sample_size.min(docs.len());
@@ -312,14 +269,15 @@ fn random_sample(
             annotations: HashMap::new(),
         })
         .collect();
-    let annotate_busy = exec.for_each_mut(&mut pages, |_, page| {
+    let annotate_start = Instant::now();
+    for page in &mut pages {
         // One DOM traversal annotates every type at once.
         annotator.annotate_types_into(&page.doc, &mut page.annotations, &types);
         propagate_upwards_into(&page.doc, &mut page.annotations);
-    });
+    }
     Ok(SampleOutcome {
         sample: pages,
-        annotate_busy,
+        annotate_busy: annotate_start.elapsed(),
         select_busy: Duration::ZERO,
     })
 }
@@ -392,52 +350,37 @@ fn page_type_score(
 /// block)/k > α … if we obtain at least one block that satisfies the
 /// given condition, we continue … Otherwise the process is stopped."
 ///
-/// Per-page layout and block counting fan out on the executor; the
-/// per-signature sums are reduced in page order (f64 addition is not
+/// Per-signature sums are folded in page order (f64 addition is not
 /// associative, so the fold order is pinned for determinism).
-///
-/// Returns the summed worker busy time of the per-page counting pass.
 fn check_block_threshold(
     docs: &[Document],
     pool: &[PoolPage],
     config: &SampleConfig,
-    exec: &Executor,
-) -> Result<Duration, SampleError> {
+) -> Result<(), SampleError> {
     if pool.is_empty() {
         return Err(SampleError::EmptySource);
     }
     let opts = LayoutOptions::default();
-    // Per-page block annotation counts, computed concurrently.
-    let (per_page, busy): (Vec<Vec<(objectrunner_html::PathId, usize)>>, Duration) = exec
-        .map_timed(pool, |_, page| {
-            let doc = &docs[page.index];
-            let layout = layout_document(doc, &opts);
-            let tree = block_tree(doc, &layout, &opts);
-            tree.blocks
-                .iter()
-                .map(|block| {
-                    let sig = objectrunner_html::node_path_id(doc, block.node);
-                    let count = doc
-                        .descendants(block.node)
-                        .filter(|id| page.annotations.contains_key(id))
-                        .count();
-                    (sig, count)
-                })
-                .collect()
-        });
-    // Average annotation count per block *signature* across pages,
-    // folded in page-index order.
+    // Average annotation count per block *signature* across pages.
     let mut per_block: objectrunner_html::FxHashMap<objectrunner_html::PathId, f64> =
         objectrunner_html::FxHashMap::default();
-    for blocks in &per_page {
-        for &(sig, count) in blocks {
+    for page in pool {
+        let doc = &docs[page.index];
+        let layout = layout_document(doc, &opts);
+        let tree = block_tree(doc, &layout, &opts);
+        for block in &tree.blocks {
+            let sig = objectrunner_html::node_path_id(doc, block.node);
+            let count = doc
+                .descendants(block.node)
+                .filter(|id| page.annotations.contains_key(id))
+                .count();
             *per_block.entry(sig).or_insert(0.0) += count as f64;
         }
     }
     let k = pool.len() as f64;
     let best = per_block.values().fold(0.0f64, |m, &v| m.max(v / k));
     if best > config.alpha {
-        Ok(busy)
+        Ok(())
     } else {
         Err(SampleError::AnnotationThreshold {
             best_block_avg_milli: (best * 1000.0) as u64,
@@ -482,8 +425,15 @@ mod tests {
         parse("<body><div class=\"m\"><p>nothing relevant here at all</p></div></body>")
     }
 
-    fn seq() -> Executor {
-        Executor::sequential()
+    /// Algorithm 1 over `docs` with a fresh annotator.
+    fn sample(
+        docs: &[Document],
+        cfg: &SampleConfig,
+        strategy: SampleStrategy,
+    ) -> Result<Vec<AnnotatedPage>, SampleError> {
+        let recognizers = recognizers();
+        let annotator = Annotator::new(&recognizers);
+        select_sample(docs, &recognizers, &annotator, &sod(), cfg, strategy).map(|o| o.sample)
     }
 
     #[test]
@@ -496,15 +446,7 @@ mod tests {
             sample_size: 3,
             ..SampleConfig::default()
         };
-        let sample = select_sample(
-            &docs,
-            &recognizers(),
-            &sod(),
-            &cfg,
-            SampleStrategy::SodBased,
-            &seq(),
-        )
-        .expect("sample");
+        let sample = sample(&docs, &cfg, SampleStrategy::SodBased).expect("sample");
         assert_eq!(sample.len(), 3);
         for page in &sample {
             assert!(page.annotated_node_count() > 0, "junk page selected");
@@ -518,29 +460,14 @@ mod tests {
             sample_size: 5,
             ..SampleConfig::default()
         };
-        let err = select_sample(
-            &docs,
-            &recognizers(),
-            &sod(),
-            &cfg,
-            SampleStrategy::SodBased,
-            &seq(),
-        )
-        .expect_err("must be discarded");
+        let err = sample(&docs, &cfg, SampleStrategy::SodBased).expect_err("must be discarded");
         assert!(matches!(err, SampleError::AnnotationThreshold { .. }));
     }
 
     #[test]
     fn empty_source_is_an_error() {
-        let err = select_sample(
-            &[],
-            &recognizers(),
-            &sod(),
-            &SampleConfig::default(),
-            SampleStrategy::SodBased,
-            &seq(),
-        )
-        .expect_err("empty");
+        let err =
+            sample(&[], &SampleConfig::default(), SampleStrategy::SodBased).expect_err("empty");
         assert_eq!(err, SampleError::EmptySource);
     }
 
@@ -559,24 +486,8 @@ mod tests {
             sample_size: 5,
             ..SampleConfig::default()
         };
-        let s1 = select_sample(
-            &docs,
-            &recognizers(),
-            &sod(),
-            &cfg,
-            SampleStrategy::Random(42),
-            &seq(),
-        )
-        .expect("sample");
-        let s2 = select_sample(
-            &docs,
-            &recognizers(),
-            &sod(),
-            &cfg,
-            SampleStrategy::Random(42),
-            &seq(),
-        )
-        .expect("sample");
+        let s1 = sample(&docs, &cfg, SampleStrategy::Random(42)).expect("sample");
+        let s2 = sample(&docs, &cfg, SampleStrategy::Random(42)).expect("sample");
         let texts = |s: &[AnnotatedPage]| -> Vec<String> {
             s.iter().map(|p| p.doc.text_content(p.doc.root())).collect()
         };
@@ -601,56 +512,7 @@ mod tests {
             sample_size: 7,
             ..SampleConfig::default()
         };
-        let sample = select_sample(
-            &docs,
-            &recognizers(),
-            &sod(),
-            &cfg,
-            SampleStrategy::SodBased,
-            &seq(),
-        )
-        .expect("sample");
+        let sample = sample(&docs, &cfg, SampleStrategy::SodBased).expect("sample");
         assert_eq!(sample.len(), 7);
-    }
-
-    #[test]
-    fn parallel_selection_matches_sequential() {
-        let docs: Vec<Document> = (0..24)
-            .map(|i| {
-                if i % 4 == 0 {
-                    junk_page()
-                } else {
-                    concert_page(["Metallica", "Madonna", "Muse"][i % 3])
-                }
-            })
-            .collect();
-        let cfg = SampleConfig {
-            sample_size: 6,
-            ..SampleConfig::default()
-        };
-        let render = |s: Vec<AnnotatedPage>| -> Vec<(String, usize)> {
-            s.into_iter()
-                .map(|p| (p.doc.text_content(p.doc.root()), p.annotated_node_count()))
-                .collect()
-        };
-        let s1 = select_sample(
-            &docs,
-            &recognizers(),
-            &sod(),
-            &cfg,
-            SampleStrategy::SodBased,
-            &Executor::sequential(),
-        )
-        .expect("sequential sample");
-        let s8 = select_sample(
-            &docs,
-            &recognizers(),
-            &sod(),
-            &cfg,
-            SampleStrategy::SodBased,
-            &Executor::new(8),
-        )
-        .expect("parallel sample");
-        assert_eq!(render(s1), render(s8));
     }
 }

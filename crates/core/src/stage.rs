@@ -1,30 +1,29 @@
 //! The explicit stage graph of the ObjectRunner pipeline.
 //!
-//! The monolithic `run_on_documents` is decomposed into named stages
-//! with a fixed dependency order:
+//! Induction runs as named stages with a fixed dependency order:
 //!
 //! ```text
 //!   Parse ─▶ Clean ─▶ Segment ─▶ Annotate/Sample ─▶ Wrap ─▶ Extract
 //!   per-page  per-page  per-page+vote   per-page rounds   per-support  per-page
 //! ```
 //!
-//! * **Per-page stages** (Parse, Clean, Segment scoring, Annotate
-//!   rounds, Extract) fan out across the [`Executor`]'s workers; their
-//!   reductions run in page-index order, so the fan-out is invisible in
-//!   the output.
-//! * **Whole-source stages** (the Segment vote, Sample shrinking, Wrap)
-//!   are sequential folds over per-page results — they are the points
-//!   where cross-page state is combined, and keeping them sequential is
-//!   what makes `threads = N` byte-identical to `threads = 1`.
-//! * **Wrap** additionally fans out across the §IV self-validation
-//!   loop's candidate support values (3..=5 by default); the winner is
-//!   chosen by replaying the serial loop's (quality, support-order)
-//!   rule over the precomputed results.
+//! Every stage is a plain loop on the caller's thread: induction reads
+//! a source's ~20-page sample, and parallelism pays across sources and
+//! requests (the daemon's worker pool), not inside one source.
 //!
-//! Each stage reports wall-clock and summed-worker CPU time through
-//! [`StageTiming`], surfaced in `PipelineStats::stage_timings`.
+//! * **Per-page stages** (Parse, Clean, Segment scoring, Annotate
+//!   rounds, Extract) loop over the pages in page order.
+//! * **Whole-source stages** (the Segment vote, Sample shrinking, Wrap)
+//!   fold the per-page results — the points where cross-page state is
+//!   combined.
+//! * **Wrap** runs the §IV self-validation loop: it tries the candidate
+//!   support values (3..=5 by default) in order and stops at the first
+//!   wrapper that is good enough.
+//!
+//! Each stage reports wall-clock time and the time spent in its
+//! per-item work through [`StageTiming`], surfaced in
+//! `PipelineStats::stage_timings`.
 
-use crate::exec::Executor;
 use crate::wrapper::Wrapper;
 use objectrunner_html::{clean_document, parse, CleanOptions, Document};
 use objectrunner_segment::{
@@ -47,13 +46,12 @@ pub enum Stage {
     Annotate,
     /// Algorithm 1 sample selection (whole-source; includes Annotate).
     Sample,
-    /// Speculative §IV self-validation work that a serial run would
-    /// also have paid but whose wrappers lost (or tied) the support
-    /// vote. Kept distinct from Wrap so per-stage CPU totals sum to
-    /// pipeline wall time instead of double-counting rerun work.
+    /// §IV self-validation evaluations that ran but did not win: the
+    /// loop's reruns, whose wrappers were discarded. Kept distinct from
+    /// Wrap so per-stage CPU totals sum to the pipeline's work instead
+    /// of double-counting rerun work.
     SampleRerun,
-    /// Algorithm 2 wrapper generation across candidate supports
-    /// (whole-source, fanned out per support value).
+    /// Algorithm 2 wrapper generation at the winning support value.
     Wrap,
     /// Template application to every page.
     Extract,
@@ -83,9 +81,9 @@ impl std::fmt::Display for Stage {
 
 /// Wall/CPU accounting for one executed stage.
 ///
-/// `cpu_micros` is the summed busy time of the workers that ran the
-/// stage's items; at `threads = 1` it tracks `wall_micros`, and the
-/// ratio `cpu / wall` approximates the stage's effective parallelism.
+/// `cpu_micros` is the time spent in the stage's per-item work (summed
+/// over workers where a stage fans out); for a stage run on one thread
+/// it tracks `wall_micros`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageTiming {
     pub stage: Stage,
@@ -94,8 +92,8 @@ pub struct StageTiming {
 }
 
 impl StageTiming {
-    /// Record a stage that started at `start` and kept workers busy for
-    /// `busy` in total.
+    /// Record a stage that started at `start` and spent `busy` in its
+    /// per-item work.
     pub fn record(stage: Stage, start: Instant, busy: Duration) -> StageTiming {
         StageTiming {
             stage,
@@ -105,51 +103,61 @@ impl StageTiming {
     }
 }
 
-/// Parse stage: raw HTML batch → documents, fanned out per page.
-pub fn parse_stage(exec: &Executor, pages: &[&str]) -> (Vec<Document>, StageTiming) {
+/// Parse stage: raw HTML batch → documents, one page at a time.
+pub fn parse_stage<S: AsRef<str>>(pages: &[S]) -> (Vec<Document>, StageTiming) {
     let start = Instant::now();
-    let (docs, busy) = exec.map_timed(pages, |_, html| parse(html));
-    (docs, StageTiming::record(Stage::Parse, start, busy))
+    let docs: Vec<Document> = pages.iter().map(|html| parse(html.as_ref())).collect();
+    (
+        docs,
+        StageTiming::record(Stage::Parse, start, start.elapsed()),
+    )
 }
 
-/// Clean stage: in-place JTidy-style cleaning, fanned out per page.
-pub fn clean_stage(exec: &Executor, docs: &mut [Document], opts: &CleanOptions) -> StageTiming {
+/// Clean stage: in-place JTidy-style cleaning of every page.
+pub fn clean_stage(docs: &mut [Document], opts: &CleanOptions) -> StageTiming {
     let start = Instant::now();
-    let busy = exec.for_each_mut(docs, |_, doc| clean_document(doc, opts));
-    StageTiming::record(Stage::Clean, start, busy)
+    for doc in docs.iter_mut() {
+        clean_document(doc, opts);
+    }
+    StageTiming::record(Stage::Clean, start, start.elapsed())
 }
 
-/// Segment stage: score candidate main blocks per page concurrently,
-/// vote across pages in page order, then simplify every page to the
-/// winning block. Returns the choice (None when no page yields a
-/// candidate block — pages are then left untouched).
+/// Segment stage: score candidate main blocks per page, vote across
+/// pages in page order, then simplify every page to the winning block.
+/// Returns the choice (None when no page yields a candidate block —
+/// pages are then left untouched). The vote is not per-page work, so
+/// its time counts toward wall but not CPU.
 pub fn segment_stage(
-    exec: &Executor,
     docs: &mut [Document],
     opts: &LayoutOptions,
 ) -> (Option<MainBlockChoice>, StageTiming) {
     let start = Instant::now();
-    let (scores, mut busy) = exec.map_timed(docs, |_, doc| score_page(doc, opts));
+    let scores: Vec<_> = docs.iter().map(|doc| score_page(doc, opts)).collect();
+    let mut busy = start.elapsed();
     let choice = vote_main_block(scores);
     if let Some(choice) = &choice {
-        busy += exec.for_each_mut(docs, |_, doc| {
+        let simplify_start = Instant::now();
+        for doc in docs.iter_mut() {
             let _ = simplify_to_main_block(doc, choice);
-        });
+        }
+        busy += simplify_start.elapsed();
     }
     (choice, StageTiming::record(Stage::Segment, start, busy))
 }
 
-/// Extract stage: apply a wrapper to every page, fanned out per page.
-/// Returns per-page instances (page boundaries preserved) so callers
-/// can keep extraction paired with its page.
-pub fn extract_stage(
-    exec: &Executor,
-    wrapper: &Wrapper,
-    docs: &[Document],
-) -> (Vec<Vec<Instance>>, StageTiming) {
+/// Extract stage: apply a wrapper to every page. Returns per-page
+/// instances (page boundaries preserved) so callers can keep
+/// extraction paired with its page.
+pub fn extract_stage(wrapper: &Wrapper, docs: &[Document]) -> (Vec<Vec<Instance>>, StageTiming) {
     let start = Instant::now();
-    let (per_page, busy) = exec.map_timed(docs, |_, doc| wrapper.extract_document(doc));
-    (per_page, StageTiming::record(Stage::Extract, start, busy))
+    let per_page: Vec<Vec<Instance>> = docs
+        .iter()
+        .map(|doc| wrapper.extract_document(doc))
+        .collect();
+    (
+        per_page,
+        StageTiming::record(Stage::Extract, start, start.elapsed()),
+    )
 }
 
 #[cfg(test)]
@@ -169,30 +177,20 @@ mod tests {
         )
     }
 
-    fn run_stages(threads: usize) -> Vec<String> {
-        let exec = Executor::new(threads);
+    #[test]
+    fn stages_reduce_pages_to_the_main_block() {
         let pages: Vec<String> = (0..9).map(|i| page(3 + i)).collect();
-        let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
-        let (mut docs, parse_t) = parse_stage(&exec, &refs);
+        let (mut docs, parse_t) = parse_stage(&pages);
         assert_eq!(parse_t.stage, Stage::Parse);
         assert_eq!(docs.len(), 9);
-        let clean_t = clean_stage(&exec, &mut docs, &CleanOptions::default());
+        let clean_t = clean_stage(&mut docs, &CleanOptions::default());
         assert_eq!(clean_t.stage, Stage::Clean);
-        let (choice, segment_t) = segment_stage(&exec, &mut docs, &LayoutOptions::default());
+        let (choice, segment_t) = segment_stage(&mut docs, &LayoutOptions::default());
         assert_eq!(segment_t.stage, Stage::Segment);
         assert!(choice.is_some(), "content block found");
-        docs.iter()
-            .map(|d| objectrunner_html::to_html(d, d.root()))
-            .collect()
-    }
-
-    #[test]
-    fn staged_output_is_thread_count_invariant() {
-        let seq = run_stages(1);
-        let par = run_stages(8);
-        assert_eq!(seq, par, "threads=8 diverged from threads=1");
         // The nav/footer noise is gone after segmentation.
-        for html in &seq {
+        for doc in &docs {
+            let html = objectrunner_html::to_html(doc, doc.root());
             assert!(!html.contains("copyright"));
             assert!(html.contains("record 0"));
         }

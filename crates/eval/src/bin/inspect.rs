@@ -7,6 +7,7 @@
 //! `--stats-json` appends one machine-readable line with the full
 //! pipeline stats (per-stage wall/CPU timings included).
 
+use objectrunner_core::annotate::Annotator;
 use objectrunner_core::matching::match_sod;
 use objectrunner_core::pipeline::{Pipeline, PipelineConfig};
 use objectrunner_core::roles::{differentiate, DiffConfig};
@@ -51,19 +52,19 @@ fn main() {
             let _ = objectrunner_segment::simplify_to_main_block(d, &choice);
         }
     }
-    let exec = objectrunner_core::exec::Executor::from_env(None);
     let sample = select_sample(
         &docs,
         &recognizers,
+        &Annotator::new(&recognizers),
         &sod,
         &SampleConfig {
             sample_size: 20,
             ..Default::default()
         },
         SampleStrategy::SodBased,
-        &exec,
     )
-    .expect("sample");
+    .expect("sample")
+    .sample;
     let mut src = SourceTokens::from_pages(&sample);
     let cfg = DiffConfig {
         set_types: sod

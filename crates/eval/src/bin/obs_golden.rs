@@ -12,7 +12,7 @@
 //! The ci.sh `obs-smoke` stage runs this binary and then `obs_check`
 //! over its output.
 //!
-//! Usage: `obs_golden [--out DIR] [--threads N]`
+//! Usage: `obs_golden [--out DIR]`
 
 use objectrunner_core::pipeline::{Pipeline, PipelineConfig};
 use objectrunner_core::sample::SampleConfig;
@@ -38,7 +38,6 @@ fn write(path: &Path, contents: &str) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let out = PathBuf::from(flag(&args, "--out").unwrap_or_else(|| "results/obs".into()));
-    let threads: Option<usize> = flag(&args, "--threads").and_then(|s| s.parse().ok());
 
     let obs = Obs::enabled();
     // Ambient build-level counters (html parse/clean, segment scoring,
@@ -55,7 +54,6 @@ fn main() {
         );
         let pages = generate_site(&spec).pages;
         let config = PipelineConfig {
-            threads,
             sample: SampleConfig {
                 sample_size: 12,
                 ..SampleConfig::default()

@@ -28,7 +28,6 @@ fn main() {
                     SampleStrategy::SodBased,
                     knowledge::recognizers_for(Domain::Publications, 0.2),
                     (support, support),
-                    None,
                 )
                 .report
             })
@@ -50,7 +49,6 @@ fn main() {
                 SampleStrategy::SodBased,
                 knowledge::recognizers_for(Domain::Publications, 0.2),
                 (3, 5),
-                None,
             )
             .report
         })

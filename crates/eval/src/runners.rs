@@ -4,7 +4,9 @@
 use crate::classify::{align_fields, classify_source, ExtractedObject, SourceReport};
 use objectrunner_baselines::exalg::{self, ExalgConfig};
 use objectrunner_baselines::roadrunner;
-use objectrunner_core::pipeline::{Pipeline, PipelineConfig, PipelineError, PipelineStats};
+use objectrunner_core::pipeline::{
+    extract_only, Pipeline, PipelineConfig, PipelineError, PipelineStats,
+};
 use objectrunner_core::sample::SampleStrategy;
 use objectrunner_html::{clean_document, parse, CleanOptions, Document};
 use objectrunner_knowledge::recognizer::RecognizerSet;
@@ -89,24 +91,20 @@ pub fn run_objectrunner_with(
     coverage: f64,
 ) -> SourceRun {
     let recognizers = knowledge::recognizers_for(source.spec.domain, coverage);
-    run_objectrunner_custom(source, strategy, recognizers, (3, 5), None)
+    run_objectrunner_custom(source, strategy, recognizers, (3, 5))
 }
 
 /// Fully parameterized ObjectRunner run (used by the support sweep).
-/// `threads` pins the worker-pool size; `None` defers to
-/// `OBJECTRUNNER_THREADS` / available parallelism.
 pub fn run_objectrunner_custom(
     source: &Source,
     strategy: SampleStrategy,
     recognizers: RecognizerSet,
     support_range: (usize, usize),
-    threads: Option<usize>,
 ) -> SourceRun {
     let sod = source.spec.domain.sod();
     let config = PipelineConfig {
         strategy,
         support_range,
-        threads,
         sample: objectrunner_core::sample::SampleConfig {
             sample_size: SAMPLE_SIZE,
             ..Default::default()
@@ -116,21 +114,23 @@ pub fn run_objectrunner_custom(
     let pipeline = Pipeline::new(sod.clone(), recognizers).with_config(config);
     match pipeline.run_on_html(&source.pages) {
         Ok(outcome) => {
-            // Re-run per page to keep page boundaries for pairing.
-            let per_page: Vec<Vec<ExtractedObject>> = source
-                .pages
-                .iter()
-                .map(|html| {
-                    let mut doc = parse(html);
-                    clean_document(&mut doc, &CleanOptions::default());
-                    outcome
-                        .wrapper
-                        .extract_document(&doc)
-                        .iter()
-                        .map(|inst| instance_to_object(inst, &sod))
-                        .collect()
-                })
-                .collect();
+            // Re-extract through the cached-extract path to keep page
+            // boundaries for pairing.
+            let per_page: Vec<Vec<ExtractedObject>> = extract_only(
+                &outcome.wrapper,
+                outcome.main_block.as_ref(),
+                &CleanOptions::default(),
+                &source.pages,
+                Some(1),
+            )
+            .per_page
+            .iter()
+            .map(|page| {
+                page.iter()
+                    .map(|inst| instance_to_object(inst, &sod))
+                    .collect()
+            })
+            .collect();
             emit_stats_json(source, SystemId::ObjectRunner, &outcome.stats);
             SourceRun {
                 system: SystemId::ObjectRunner,

@@ -853,7 +853,6 @@ impl ServiceShared {
                 sample_size: self.config.sample_size,
                 ..SampleConfig::default()
             },
-            threads: REQUEST_THREADS,
             obs: self.obs.clone(),
             trace_context: parent.filter(|s| s.is_enabled()).map(Span::context),
             ..PipelineConfig::default()

@@ -153,7 +153,6 @@ fn cached_extraction_skips_induction_and_drift_triggers_reinduction() {
             sample_size: 12,
             ..SampleConfig::default()
         },
-        threads: Some(2),
         ..PipelineConfig::default()
     };
     let fresh = Pipeline::new(
@@ -324,7 +323,6 @@ fn separator_drift_is_repaired_without_reinduction() {
             sample_size: 12,
             ..SampleConfig::default()
         },
-        threads: Some(2),
         ..PipelineConfig::default()
     };
     let fresh = Pipeline::new(

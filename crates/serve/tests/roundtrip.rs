@@ -38,7 +38,6 @@ fn induce(source: &Source) -> StoredWrapper {
             sample_size: 12,
             ..SampleConfig::default()
         },
-        threads: Some(2),
         ..PipelineConfig::default()
     };
     let clean = config.clean.clone();

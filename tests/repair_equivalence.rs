@@ -47,8 +47,7 @@ fn repaired_vs_fresh(
 ) -> (Vec<String>, Vec<String>) {
     let spec = spec(domain, index);
     let clean_pages = generate_site(&spec).pages;
-    let mut cfg = config();
-    cfg.threads = threads;
+    let cfg = config();
     let clean = cfg.clean.clone();
     let pipeline = Pipeline::new(domain.sod(), knowledge::recognizers_for(domain, 0.2))
         .with_config(cfg.clone());

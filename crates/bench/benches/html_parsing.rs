@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use objectrunner_bench::bench_source;
-use objectrunner_html::{clean_document, parse, to_html, CleanOptions};
+use objectrunner_html::{clean_document, parse, to_html, CleanOptions, EventTokenizer};
 use objectrunner_segment::{block_tree, layout_document, LayoutOptions};
 use objectrunner_webgen::Domain;
 use std::hint::black_box;
@@ -15,7 +15,15 @@ fn substrate(c: &mut Criterion) {
     let mut group = c.benchmark_group("html_substrate");
     group.throughput(Throughput::Bytes(bytes));
     group.bench_function("tokenize", |b| {
-        b.iter(|| black_box(objectrunner_html::tokenize(&page)))
+        b.iter(|| {
+            let mut tokenizer = EventTokenizer::new(&page);
+            let mut events = 0usize;
+            while let Some(event) = tokenizer.next_event() {
+                black_box(event);
+                events += 1;
+            }
+            events
+        })
     });
     group.bench_function("parse", |b| b.iter(|| black_box(parse(&page))));
     group.bench_function("parse_and_clean", |b| {

@@ -1,6 +1,6 @@
 //! Arena-based DOM with JTidy-style error recovery.
 //!
-//! The tree builder consumes the tokenizer's stream and always produces
+//! The tree builder consumes the tokenizer's events and always produces
 //! a well-formed tree: void elements never take children, implied end
 //! tags are inserted (`<li>`, `<p>`, `<option>`, table parts), stray
 //! end tags are dropped, and everything left open at EOF is closed.
@@ -14,7 +14,6 @@
 
 use crate::intern::{FxHashSet, PathId, Symbol};
 use crate::stream::Event;
-use crate::tokenizer::Token;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -309,23 +308,14 @@ pub fn normalize_ws(s: &str) -> String {
     s.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
-/// Build a well-formed [`Document`] from a token stream.
-pub fn build(tokens: Vec<Token>) -> Document {
-    let mut builder = TreeBuilder::new();
-    for tok in tokens {
-        builder.token(tok);
-    }
-    builder.finish()
-}
-
 /// Most elements open at once. An element that would open deeper is
 /// still attached, but it takes no children: what follows lands beside
 /// it, under the deepest open element.
 pub const MAX_DEPTH: usize = 512;
 
-/// Incremental tree builder: the recovery logic of [`build`], exposed
-/// one token (or one tokenizer [`Event`]) at a time so the streaming
-/// parse path never materializes a token vector.
+/// Incremental tree builder: the DOM's recovery logic, fed one
+/// tokenizer [`Event`] at a time so parsing never materializes a token
+/// vector.
 pub struct TreeBuilder {
     doc: Document,
     /// Stack of open elements; root is always at the bottom.
@@ -344,21 +334,6 @@ impl TreeBuilder {
         let doc = Document::new();
         let open = vec![doc.root()];
         TreeBuilder { doc, open }
-    }
-
-    /// Feed one owned token.
-    pub fn token(&mut self, tok: Token) {
-        match tok {
-            Token::Doctype(_) => {}
-            Token::Comment(c) => self.comment(c),
-            Token::Text(t) => self.text(t),
-            Token::StartTag {
-                name,
-                attrs,
-                self_closing,
-            } => self.open_tag(name, attrs, self_closing),
-            Token::EndTag { name } => self.close_tag(name),
-        }
     }
 
     /// Feed one tokenizer event (borrowed text is copied here, at the

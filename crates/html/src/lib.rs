@@ -4,10 +4,10 @@
 //! reproduction. The paper pre-processes pages with JTidy to obtain
 //! well-formed documents; this crate plays that role:
 //!
-//! * [`tokenizer`] — an HTML tokenizer producing a flat stream of
-//!   [`tokenizer::Token`]s (tags, text, comments, doctype), tolerant of
-//!   malformed markup.
-//! * [`dom`] — an arena-based DOM built from the token stream with
+//! * [`stream`] — a pull tokenizer yielding one [`stream::Event`] at a
+//!   time (tags, text, comments, doctype), tolerant of malformed
+//!   markup.
+//! * [`dom`] — an arena-based DOM built from the event stream with
 //!   HTML-style error recovery (void elements, implied end tags,
 //!   mismatched close tags).
 //! * [`clean`] — the paper's cleaning pass: drop scripts, styles,
@@ -31,7 +31,6 @@ pub mod intern;
 pub mod path;
 pub mod serialize;
 pub mod stream;
-pub mod tokenizer;
 
 pub use clean::{clean_document, CleanOptions};
 pub use dom::{Document, Node, NodeId, NodeKind, TreeBuilder};
@@ -39,7 +38,6 @@ pub use intern::{FxHashMap, FxHashSet, FxHasher, PathId, Symbol};
 pub use path::{node_path, node_path_id, NodeSignature};
 pub use serialize::{to_html, token_stream, PageToken};
 pub use stream::{Event, EventTokenizer};
-pub use tokenizer::{tokenize, Token};
 
 fn count_parse(input: &str) {
     if objectrunner_obs::global_enabled() {

@@ -5,14 +5,18 @@
 //! entity decoding is handed out as a zero-copy slice of the input;
 //! decoded text is an owned string.
 //!
-//! The event grammar and error tolerance are byte-for-byte those of
-//! [`crate::tokenizer::tokenize`] — which is now implemented on top of
-//! this type, so the tokenizer test-suite pins both paths at once.
+//! The tokenizer never fails; any byte sequence yields *some* event
+//! stream. Tag and attribute names are lower-cased, attribute values
+//! and text are entity-decoded, and the contents of raw-text elements
+//! (`<script>`, `<style>`, `<textarea>`, `<title>`) come out as a
+//! single text event, with neither markup nor entities interpreted.
 
 use crate::entities;
 use crate::intern::Symbol;
-use crate::tokenizer::{Token, RAW_TEXT_ELEMENTS};
 use std::borrow::Cow;
+
+/// Elements whose content is raw text (no markup interpretation).
+const RAW_TEXT_ELEMENTS: &[&str] = &["script", "style", "textarea", "title"];
 
 /// One parse event. Borrowed variants point into the input — nothing
 /// is copied until the caller decides to keep it.
@@ -32,27 +36,6 @@ pub enum Event<'a> {
     Comment(Cow<'a, str>),
     /// `<!DOCTYPE ...>` with the keyword stripped.
     Doctype(Cow<'a, str>),
-}
-
-impl Event<'_> {
-    /// Convert to the owned [`Token`] representation.
-    pub fn into_token(self) -> Token {
-        match self {
-            Event::Open {
-                name,
-                attrs,
-                self_closing,
-            } => Token::StartTag {
-                name,
-                attrs,
-                self_closing,
-            },
-            Event::Close { name } => Token::EndTag { name },
-            Event::Text(t) => Token::Text(t.into_owned()),
-            Event::Comment(c) => Token::Comment(c.into_owned()),
-            Event::Doctype(d) => Token::Doctype(d.into_owned()),
-        }
-    }
 }
 
 /// Resumable pull tokenizer (see module docs).
@@ -351,16 +334,201 @@ pub(crate) fn is_name_byte(b: u8) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokenizer::tokenize;
 
-    /// Collect events as owned tokens for comparison.
-    fn events(input: &str) -> Vec<Token> {
+    fn events(input: &str) -> Vec<Event<'_>> {
         let mut t = EventTokenizer::new(input);
         let mut out = Vec::new();
         while let Some(ev) = t.next_event() {
-            out.push(ev.into_token());
+            out.push(ev);
         }
         out
+    }
+
+    fn open(name: &str) -> Event<'static> {
+        Event::Open {
+            name: Symbol::intern(name),
+            attrs: Vec::new(),
+            self_closing: false,
+        }
+    }
+
+    fn close(name: &str) -> Event<'static> {
+        Event::Close {
+            name: Symbol::intern(name),
+        }
+    }
+
+    fn text(t: &str) -> Event<'_> {
+        Event::Text(Cow::Borrowed(t))
+    }
+
+    fn open_with_attrs(
+        evs: &[Event<'_>],
+        idx: usize,
+    ) -> (&'static str, Vec<(&'static str, &'static str)>) {
+        match &evs[idx] {
+            Event::Open { name, attrs, .. } => (
+                name.as_str(),
+                attrs
+                    .iter()
+                    .map(|(a, v)| (a.as_str(), v.as_str()))
+                    .collect(),
+            ),
+            other => panic!("expected open tag, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn tokenizes_simple_markup() {
+        assert_eq!(
+            events("<div><p>hello</p></div>"),
+            vec![
+                open("div"),
+                open("p"),
+                text("hello"),
+                close("p"),
+                close("div"),
+            ]
+        );
+    }
+
+    #[test]
+    fn lowercases_tag_and_attr_names() {
+        let evs = events("<DIV CLASS=\"Main\">x</DIV>");
+        let (name, attrs) = open_with_attrs(&evs, 0);
+        assert_eq!(name, "div");
+        assert_eq!(attrs, vec![("class", "Main")]);
+        assert_eq!(evs[2], close("div"));
+    }
+
+    #[test]
+    fn parses_attribute_styles() {
+        let evs = events("<input type=text checked value='a b' data-x=\"1&amp;2\">");
+        let (_, attrs) = open_with_attrs(&evs, 0);
+        assert_eq!(
+            attrs,
+            vec![
+                ("type", "text"),
+                ("checked", ""),
+                ("value", "a b"),
+                ("data-x", "1&2"),
+            ]
+        );
+    }
+
+    #[test]
+    fn handles_self_closing() {
+        let evs = events("<br/><img src=x />");
+        assert!(matches!(
+            &evs[0],
+            Event::Open { self_closing: true, name, .. } if name.as_str() == "br"
+        ));
+        assert!(matches!(
+            &evs[1],
+            Event::Open { self_closing: true, name, .. } if name.as_str() == "img"
+        ));
+    }
+
+    #[test]
+    fn captures_script_as_raw_text() {
+        let evs = events("<script>if (a<b) { x(); }</script><p>t</p>");
+        assert_eq!(evs[0], open("script"));
+        assert_eq!(evs[1], text("if (a<b) { x(); }"));
+        assert_eq!(evs[2], close("script"));
+        assert_eq!(evs[3], open("p"));
+    }
+
+    #[test]
+    fn raw_text_close_tag_is_case_insensitive() {
+        let evs = events("<style>.a{}</STYLE>after");
+        assert_eq!(evs[1], text(".a{}"));
+        assert_eq!(evs[2], close("style"));
+        assert_eq!(evs[3], text("after"));
+    }
+
+    #[test]
+    fn raw_text_is_not_entity_decoded() {
+        assert_eq!(
+            events("<textarea>&amp; raw</textarea>"),
+            vec![open("textarea"), text("&amp; raw"), close("textarea")]
+        );
+        assert_eq!(
+            events("<title>café &eacute;</title>"),
+            vec![open("title"), text("café &eacute;"), close("title")]
+        );
+    }
+
+    #[test]
+    fn unterminated_script_swallows_to_eof() {
+        let evs = events("<script>var x = 1;");
+        assert_eq!(evs[1], text("var x = 1;"));
+        assert_eq!(evs.len(), 2);
+    }
+
+    #[test]
+    fn parses_comments_and_doctype() {
+        let evs = events("<!DOCTYPE html><!-- note --><p>x</p>");
+        assert_eq!(evs[0], Event::Doctype("html".into()));
+        assert_eq!(evs[1], Event::Comment(" note ".into()));
+    }
+
+    #[test]
+    fn unterminated_comment_swallows_to_eof() {
+        let evs = events("a<!-- no end");
+        assert_eq!(evs[0], text("a"));
+        assert_eq!(evs[1], Event::Comment(" no end".into()));
+    }
+
+    #[test]
+    fn decodes_entities_in_text() {
+        let evs = events("<p>Simon &amp; Garfunkel</p>");
+        assert_eq!(evs[1], text("Simon & Garfunkel"));
+    }
+
+    #[test]
+    fn stray_lt_is_text() {
+        assert_eq!(events("a < b"), vec![text("a "), text("<"), text(" b")]);
+    }
+
+    #[test]
+    fn lone_lt_at_eof() {
+        assert_eq!(events("x<"), vec![text("x"), text("<")]);
+    }
+
+    #[test]
+    fn end_tag_with_junk_attrs() {
+        assert_eq!(events("</p class=\"x\">"), vec![close("p")]);
+    }
+
+    #[test]
+    fn processing_instruction_becomes_comment() {
+        let evs = events("<?xml version=\"1.0\"?><p>x</p>");
+        assert!(matches!(&evs[0], Event::Comment(_)));
+        assert_eq!(evs[1], open("p"));
+    }
+
+    #[test]
+    fn never_panics_on_garbage() {
+        for garbage in [
+            "<",
+            "<<>><",
+            "<a href=",
+            "<a href='x",
+            "</",
+            "<!",
+            "<!-",
+            "<p <q>",
+        ] {
+            let _ = events(garbage);
+        }
+    }
+
+    #[test]
+    fn unquoted_attr_stops_at_gt() {
+        let evs = events("<a href=http://x.com/y>link</a>");
+        let (_, attrs) = open_with_attrs(&evs, 0);
+        assert_eq!(attrs[0].1, "http://x.com/y");
+        assert_eq!(evs[1], text("link"));
     }
 
     #[test]
@@ -385,11 +553,11 @@ mod tests {
 
     #[test]
     fn raw_text_close_found_without_lowercasing() {
-        let toks = events("<script>var a = '</SCRIPTx' + 1<2;</SCRIPT>after");
-        assert_eq!(toks[0], Token::start("script"));
+        let evs = events("<script>var a = '</SCRIPTx' + 1<2;</SCRIPT>after");
+        assert_eq!(evs[0], open("script"));
         // "</SCRIPTx" matches the "</script" prefix search — same
         // substring semantics as the historical lowercased find().
-        assert!(matches!(&toks[1], Token::Text(t) if t == "var a = '"));
+        assert_eq!(evs[1], text("var a = '"));
     }
 
     #[test]
@@ -402,38 +570,5 @@ mod tests {
             }
         }
         assert_eq!(texts, vec!["a", "b"]);
-    }
-
-    #[test]
-    fn event_stream_equals_token_stream() {
-        let cases = [
-            "<div><p>hello</p></div>",
-            "<DIV CLASS=\"Main\">x</DIV>",
-            "<input type=text checked value='a b' data-x=\"1&amp;2\">",
-            "<br/><img src=x />",
-            "<script>if (a<b) { x(); }</script><p>t</p>",
-            "<style>.a{}</STYLE>after",
-            "<script>var x = 1;",
-            "<!DOCTYPE html><!-- note --><p>x</p>",
-            "a<!-- no end",
-            "<p>Simon &amp; Garfunkel</p>",
-            "a < b",
-            "x<",
-            "</p class=\"x\">",
-            "<?xml version=\"1.0\"?><p>x</p>",
-            "<",
-            "<<>><",
-            "<a href=",
-            "<a href='x",
-            "</",
-            "<!",
-            "<!-",
-            "<p <q>",
-            "<textarea>&amp; raw</textarea>",
-            "<title>café &eacute;</title>",
-        ];
-        for case in cases {
-            assert_eq!(events(case), tokenize(case), "case {case:?}");
-        }
     }
 }

@@ -16,7 +16,6 @@
 use crate::ObjStoreError;
 use objectrunner_store::{frame, FrameError, Json};
 use std::fs;
-use std::io::Write;
 use std::path::Path;
 
 /// Manifest file name inside a store directory.
@@ -187,18 +186,11 @@ impl Manifest {
         }
     }
 
-    /// Atomically commit: write `MANIFEST.tmp`, fsync, rename over
-    /// `MANIFEST`. Readers either see the old manifest or this one.
+    /// Atomically commit through the one durable write path: write
+    /// `MANIFEST.tmp`, fsync, rename over `MANIFEST`, fsync the
+    /// directory. Readers either see the old manifest or this one.
     pub fn commit(&self, dir: &Path) -> Result<(), ObjStoreError> {
-        let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(self.render().as_bytes())?;
-        f.sync_all()?;
-        drop(f);
-        fs::rename(&tmp, dir.join(MANIFEST_FILE))?;
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all(); // persist the rename; best-effort on non-POSIX
-        }
+        objectrunner_store::replace_file(&dir.join(MANIFEST_FILE), self.render().as_bytes())?;
         Ok(())
     }
 }

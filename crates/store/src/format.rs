@@ -191,9 +191,11 @@ pub fn save(stored: &StoredWrapper) -> String {
     crate::frame::encode(MAGIC, FORMAT_VERSION, &payload_json(stored).render())
 }
 
-/// Serialize and write to `path`.
+/// Serialize and replace `path` durably ([`crate::replace_file`]): a
+/// crash or a concurrent reader sees the old revision or the new one,
+/// never a torn file.
 pub fn save_file(path: &Path, stored: &StoredWrapper) -> Result<(), StoreError> {
-    std::fs::write(path, save(stored))?;
+    crate::replace_file(path, save(stored).as_bytes())?;
     Ok(())
 }
 

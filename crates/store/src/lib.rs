@@ -19,10 +19,12 @@
 //! * **fail-loud** — a truncated or bit-flipped file is rejected by
 //!   the header checksum before any field is trusted.
 
+pub mod durable;
 pub mod format;
 pub mod frame;
 pub mod json;
 
+pub use durable::replace_file;
 pub use format::{
     fnv64, load, load_file, save, save_file, Fnv64, RepairProvenance, StoreError, StoredWrapper,
     FORMAT_VERSION, MIN_SUPPORTED_VERSION,

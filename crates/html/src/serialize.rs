@@ -51,8 +51,8 @@ impl PageToken {
 }
 
 // Ordered by resolved string, not by symbol index: interning order
-// depends on thread interleaving, so index order would make any
-// sorted-by-token output nondeterministic across runs.
+// depends on everything the process interned before, so index order
+// would make any sorted-by-token output depend on process history.
 impl PartialOrd for PageToken {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))

@@ -17,8 +17,8 @@
 //!   ([`Span::child`] / [`Obs::span_in`]), never thread-local, so the
 //!   trace tree's shape depends only on the code path. Exports sort by
 //!   `(trace, id)` and render with fixed key order; the determinism
-//!   suite byte-compares span trees across `OBJECTRUNNER_THREADS=1`
-//!   and `=8` after normalizing worker-allocated ids.
+//!   suite byte-compares the event streams of two runs after
+//!   normalizing timings.
 //!
 //! Metric names follow `objectrunner.<crate>.<stage>.<name>`.
 

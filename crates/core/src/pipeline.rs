@@ -384,14 +384,13 @@ fn finish_stage_span(mut span: Span, timing: &StageTiming) {
 /// lost ("reruns").
 struct WrapOutcome {
     wrapper: Wrapper,
-    /// Rerun count under the loop's accounting (stats field).
+    /// How many evaluations ran past the first — exactly the ones
+    /// that did not win (the stats field and the rerun span's count).
     reruns: usize,
     /// Time spent generating the winning wrapper.
     winner_busy: Duration,
     /// Time spent on the evaluations that ran and did not win.
     rerun_busy: Duration,
-    /// How many evaluations ran and did not win.
-    rerun_evals: usize,
 }
 
 /// The ObjectRunner engine for one source.
@@ -535,14 +534,14 @@ impl Pipeline {
         // Losing support evaluations get their own entry (wall 0: they
         // overlap the Wrap stage's clock) so aggregate per-stage CPU
         // sums to the pipeline's real work.
-        if wrap.rerun_evals > 0 {
+        if wrap.reruns > 0 {
             timings.push(StageTiming {
                 stage: Stage::SampleRerun,
                 wall_micros: 0,
                 cpu_micros: wrap.rerun_busy.as_micros(),
             });
             let mut rerun_span = wrap_span.child("sample.rerun");
-            rerun_span.attr_u64("evals", wrap.rerun_evals as u64);
+            rerun_span.attr_u64("evals", wrap.reruns as u64);
             rerun_span.add_cpu_micros(wrap.rerun_busy.as_micros() as u64);
             rerun_span.finish();
         }
@@ -597,14 +596,7 @@ impl Pipeline {
     /// support on ties), and stop at the first support whose wrapper
     /// reaches the quality threshold.
     fn best_wrapper(&self, sample: &[AnnotatedPage]) -> Result<WrapOutcome, PipelineError> {
-        let (lo, hi) = self.config.support_range;
-        let mut best: Option<(Wrapper, Duration)> = None;
-        let mut last_err: Option<WrapperError> = None;
-        let mut evals_busy = Duration::ZERO;
-        let mut evals = 0usize;
-        let mut reruns = 0usize;
-        for support in lo..=hi.max(lo) {
-            let eval_start = Instant::now();
+        self.self_validate(|support| {
             let diff_cfg = DiffConfig {
                 eq: EqConfig {
                     min_support: support,
@@ -613,7 +605,24 @@ impl Pipeline {
                 },
                 ..DiffConfig::default()
             };
-            let result = generate_wrapper(sample, &self.sod, &diff_cfg);
+            generate_wrapper(sample, &self.sod, &diff_cfg)
+        })
+    }
+
+    /// The loop behind [`Pipeline::best_wrapper`], over any per-support
+    /// evaluation (unit tests substitute wrappers of chosen quality).
+    fn self_validate(
+        &self,
+        mut evaluate: impl FnMut(usize) -> Result<Wrapper, WrapperError>,
+    ) -> Result<WrapOutcome, PipelineError> {
+        let (lo, hi) = self.config.support_range;
+        let mut best: Option<(Wrapper, Duration)> = None;
+        let mut last_err: Option<WrapperError> = None;
+        let mut evals_busy = Duration::ZERO;
+        let mut evals = 0usize;
+        for support in lo..=hi.max(lo) {
+            let eval_start = Instant::now();
+            let result = evaluate(support);
             let elapsed = eval_start.elapsed();
             evals_busy += elapsed;
             evals += 1;
@@ -629,15 +638,13 @@ impl Pipeline {
                 }
                 Err(e) => last_err = Some(e),
             }
-            reruns += 1;
         }
         match best {
             Some((wrapper, winner_busy)) => Ok(WrapOutcome {
                 wrapper,
-                reruns: reruns.saturating_sub(1),
+                reruns: evals - 1,
                 winner_busy,
                 rerun_busy: evals_busy - winner_busy,
-                rerun_evals: evals - 1,
             }),
             None => Err(PipelineError::Wrapper(
                 last_err.unwrap_or(WrapperError::EmptySample),
@@ -905,6 +912,37 @@ mod tests {
         let rerun_pos = json.find("\"stage\":\"sample.rerun\"").expect("rendered");
         let wrap_pos = json.find("\"stage\":\"wrap\"").expect("rendered");
         assert!(rerun_pos < wrap_pos);
+    }
+
+    #[test]
+    fn reruns_count_every_evaluation_past_the_first() {
+        let pages = source_pages(12);
+        let known: Vec<String> = (0..12).map(|p| format!("Band{p}x0")).collect();
+        let refs: Vec<&str> = known.iter().map(String::as_str).collect();
+        let pipeline = Pipeline::new(concert_sod(), recognizers(&refs));
+        let base = pipeline.run_on_html(&pages).expect("runs").wrapper;
+        // Wrappers of a chosen quality per support; the default loop
+        // tries supports 3..=5 against a 0.9 threshold.
+        let run = |quality: &dyn Fn(usize) -> f64| {
+            let wrap = pipeline
+                .self_validate(|support| {
+                    Ok(Wrapper {
+                        support,
+                        quality: quality(support),
+                        ..base.clone()
+                    })
+                })
+                .expect("a wrapper wins");
+            (wrap.wrapper.support, wrap.reruns)
+        };
+        assert_eq!(run(&|_| 1.0), (3, 0), "first support good enough");
+        assert_eq!(
+            run(&|s| if s == 3 { 0.5 } else { 1.0 }),
+            (4, 1),
+            "support 3 misses the threshold, support 4 reaches it"
+        );
+        assert_eq!(run(&|s| if s == 5 { 1.0 } else { 0.5 }), (5, 2));
+        assert_eq!(run(&|_| 0.5), (3, 2), "none good enough: earliest best");
     }
 
     #[test]

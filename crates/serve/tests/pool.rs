@@ -3,9 +3,12 @@
 //! * **Fidelity** — N parallel TCP clients firing pipelined bursts
 //!   (which the pool runs through the batched extraction path) must
 //!   get responses byte-identical to a serial, in-process
-//!   `handle_line` run under the same pinned fake clock. Only the
+//!   `handle_line` run under the same pinned wall clock. Only the
 //!   per-request `trace` id and wall-clock `stats` timings may
-//!   differ.
+//!   differ. On the same traffic, the 60 s sliding window over request
+//!   latency must read the p50, p99 and p999 of the cumulative
+//!   histogram to within one bucket: it is another read over the same
+//!   records.
 //! * **Admission control** — request lines past the in-flight budget
 //!   are shed with the typed `overloaded` response, in request order,
 //!   without killing the connection; the budget recovers afterwards
@@ -14,8 +17,11 @@
 //!   `overloaded` line and EOF; closing an admitted connection frees
 //!   the slot.
 
-use objectrunner_obs::{Clock, Obs, DEFAULT_SPAN_CAPACITY};
-use objectrunner_serve::{serve_tcp, PoolConfig, ServeConfig, Service};
+use objectrunner_obs::{
+    Clock, ClockSource, Obs, SystemClock, WindowConfig, DEFAULT_SPAN_CAPACITY,
+    LATENCY_BUCKETS_MICROS,
+};
+use objectrunner_serve::{serve_tcp, PoolConfig, ServeConfig, Service, REQUEST_LATENCY};
 use objectrunner_store::Json;
 use objectrunner_webgen::{generate_site, Domain, PageKind, SiteSpec};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -31,12 +37,18 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
+const PINNED_WALL_MICROS: u64 = 1_700_000_000_000_000;
+
 /// A service under a pinned fake clock, so two instances cannot
 /// diverge on anything time-derived.
 fn pinned_service(store_dir: PathBuf) -> Service {
     let (clock, fake) = Clock::fake();
-    fake.set_wall_unix_micros(1_700_000_000_000_000);
+    fake.set_wall_unix_micros(PINNED_WALL_MICROS);
     let obs = Obs::with_clock_and_capacity(clock.clone(), DEFAULT_SPAN_CAPACITY);
+    service_with(store_dir, obs, clock)
+}
+
+fn service_with(store_dir: PathBuf, obs: Obs, clock: Clock) -> Service {
     Service::with_observability(
         ServeConfig {
             store_dir,
@@ -45,6 +57,33 @@ fn pinned_service(store_dir: PathBuf) -> Service {
         obs,
         clock,
     )
+}
+
+/// Real monotonic time, so request latencies spread over the buckets,
+/// with the wall clock pinned as in [`pinned_service`].
+#[derive(Debug)]
+struct PinnedWall(SystemClock);
+
+impl ClockSource for PinnedWall {
+    fn monotonic_micros(&self) -> u64 {
+        self.0.monotonic_micros()
+    }
+
+    fn wall_unix_micros(&self) -> u64 {
+        PINNED_WALL_MICROS
+    }
+}
+
+/// The daemon's live-telemetry service: sliding windows behind every
+/// histogram, timed by the real monotonic clock.
+fn windowed_service(store_dir: PathBuf) -> Service {
+    let clock = Clock::from_source(Arc::new(PinnedWall(SystemClock::new())));
+    let obs = Obs::with_windows(
+        clock.clone(),
+        DEFAULT_SPAN_CAPACITY,
+        WindowConfig::default(),
+    );
+    service_with(store_dir, obs, clock)
 }
 
 /// Strip the fields that legitimately differ between runs: the
@@ -108,7 +147,7 @@ fn parallel_clients_get_byte_identical_responses_to_a_serial_run() {
     assert!(expected.contains("\"ok\":true"), "reference run failed");
     assert!(expected.contains("\"cache\":\"hit\""));
 
-    let pooled = Arc::new(pinned_service(dir.clone()));
+    let pooled = Arc::new(windowed_service(dir.clone()));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let handle = serve_tcp(
         listener,
@@ -172,6 +211,27 @@ fn parallel_clients_get_byte_identical_responses_to_a_serial_run() {
         0,
         "no shedding expected at this load"
     );
+    assert_eq!(snap.counter("objectrunner.serve.serving.shed_conns"), 0);
+
+    // The run is far shorter than a minute, so the 60 s window holds
+    // every latency sample the cumulative histogram does.
+    let now = pooled.obs().clock().expect("enabled").monotonic_micros();
+    let windowed = pooled
+        .obs()
+        .windows()
+        .and_then(|w| w.get(REQUEST_LATENCY))
+        .expect("request latency window")
+        .snapshot(now, 60_000_000);
+    let cumulative = snap.histogram(REQUEST_LATENCY);
+    assert_eq!(windowed.count, cumulative.count);
+    let bucket = |v: u64| LATENCY_BUCKETS_MICROS.partition_point(|&b| b < v);
+    for q in [0.5, 0.99, 0.999] {
+        let (w, c) = (windowed.quantile(q), cumulative.quantile(q));
+        assert!(
+            bucket(w).abs_diff(bucket(c)) <= 1,
+            "windowed p{q} {w} µs is more than one bucket from the histogram's {c} µs"
+        );
+    }
     handle.shutdown();
 }
 

@@ -6,14 +6,22 @@
 //! wrapper, not the support/rerun accounting, and not the error a
 //! rejected source fails with.
 //!
-//! The test runs the golden corpus and a fixed draw of generated
-//! sources twice. The plain run happens in this process. The other runs
-//! in a child process that first interns decoys: the SODs' entity-type
-//! names and every word, tag and attribute of those pages in a fixed
-//! shuffled order, then every node path of the parsed pages in a fixed
-//! shuffled order. The decoys shift
-//! every id and permute their relative order, so a sort, hash-map walk
-//! or tie-break that reads ids shows up as a fingerprint diff.
+//! The test runs the golden corpus, a fixed draw of generated sources
+//! and one tied-gap source three times. The plain run happens in this
+//! process. The other two run in child processes that first intern
+//! decoys: the SODs' entity-type names and every word, tag and
+//! attribute of those pages, in ascending order in one child and in
+//! descending order in the other, then every node path of the parsed
+//! pages in a fixed shuffled order. The decoys shift every id, and one
+//! of the two children numbers any two decoy words the other way round
+//! from the plain run, so a sort, hash-map walk or tie-break that reads
+//! ids shows up as a fingerprint diff.
+//!
+//! The tied-gap source is what gives tie-breaks something to decide:
+//! its title and author share one text node, and with every title and
+//! author in the dictionaries that gap holds both types with equal
+//! counts. The author set maps to it only through the gap-majority
+//! tie-break, and the `.orw` lists both types for that gap.
 //!
 //! The comparison does NOT sort the extracted instances (unlike the
 //! golden snapshots): page-scan order is part of what is pinned.
@@ -38,11 +46,14 @@ struct Case {
     domain: Domain,
     pages: Vec<String>,
     sample_size: usize,
+    /// Dictionary coverage of the recognizers.
+    coverage: f64,
 }
 
-/// The golden corpus (same specs as `golden_equivalence.rs`) plus eight
-/// generated sources drawn over domain × size × seed × sample size.
-/// Some generated sources are rejected; their errors are compared too.
+/// The golden corpus (same specs as `golden_equivalence.rs`), eight
+/// generated sources drawn over domain × size × seed × sample size,
+/// then the tied-gap source. Some generated sources are rejected; their
+/// errors are compared too.
 fn cases() -> Vec<Case> {
     let mut cases: Vec<Case> = Domain::ALL
         .into_iter()
@@ -59,6 +70,7 @@ fn cases() -> Vec<Case> {
                 domain,
                 pages: generate_site(&spec).pages,
                 sample_size: 12,
+                coverage: 0.2,
             }
         })
         .collect();
@@ -72,9 +84,52 @@ fn cases() -> Vec<Case> {
             domain,
             pages: generate_site(&spec).pages,
             sample_size: 5 + rng.below(7),
+            coverage: 0.2,
         });
     }
+    cases.push(tied_gap_case());
     cases
+}
+
+/// Books pages whose first cell reads "<title> by <author>", induced
+/// with every title and author in the dictionaries: one gap carries the
+/// two types with equal counts.
+fn tied_gap_case() -> Case {
+    let source = generate_site(&SiteSpec::clean(
+        "determinism-tie",
+        Domain::Books,
+        PageKind::List,
+        10,
+        17_100,
+    ));
+    let pages = source
+        .truth
+        .iter()
+        .map(|objects| {
+            let records: String = objects
+                .iter()
+                .map(|o| {
+                    format!(
+                        "<li><div>{} by {}</div><div>{}</div></li>",
+                        o.values("title")[0],
+                        o.values("author")[0],
+                        o.values("price")[0]
+                    )
+                })
+                .collect();
+            format!(
+                "<html><head><title>books</title></head><body>\
+                 <div class=\"nav\">home about contact</div><ul>{records}</ul>\
+                 <div class=\"footer\">copyright legal privacy</div></body></html>"
+            )
+        })
+        .collect();
+    Case {
+        domain: Domain::Books,
+        pages,
+        sample_size: 8,
+        coverage: 1.0,
+    }
 }
 
 /// Everything observable about one run, as one comparable string. The
@@ -83,7 +138,7 @@ fn cases() -> Vec<Case> {
 fn fingerprint(case: &Case) -> String {
     let pipeline = Pipeline::new(
         case.domain.sod(),
-        knowledge::recognizers_for(case.domain, 0.2),
+        knowledge::recognizers_for(case.domain, case.coverage),
     )
     .with_config(PipelineConfig {
         sample: SampleConfig {
@@ -136,10 +191,10 @@ fn shuffle<T>(items: &mut [T], rng: &mut TestRng) {
 }
 
 /// Intern every entity-type name of the cases' SODs and every word, tag
-/// and attribute of their pages, then every node path of the parsed
-/// pages, each in a fixed shuffled order.
-fn intern_decoys(cases: &[Case]) {
-    let mut rng = TestRng::seed_from_u64(0xdec0);
+/// and attribute of their pages in sorted order (reversed when
+/// `descending`), then every node path of the parsed pages in a fixed
+/// shuffled order.
+fn intern_decoys(cases: &[Case], descending: bool) {
     let sods: Vec<_> = cases.iter().map(|c| c.domain.sod()).collect();
     let mut words: Vec<&str> = cases
         .iter()
@@ -150,7 +205,9 @@ fn intern_decoys(cases: &[Case]) {
         .collect();
     words.sort_unstable();
     words.dedup();
-    shuffle(&mut words, &mut rng);
+    if descending {
+        words.reverse();
+    }
     for word in words {
         Symbol::intern(word);
         Symbol::intern(&word.to_lowercase());
@@ -164,7 +221,7 @@ fn intern_decoys(cases: &[Case]) {
         .iter()
         .flat_map(|doc| doc.descendants(doc.root()).map(move |node| (doc, node)))
         .collect();
-    shuffle(&mut nodes, &mut rng);
+    shuffle(&mut nodes, &mut TestRng::seed_from_u64(0xdec0));
     for (doc, node) in nodes {
         node_path_id(doc, node);
     }
@@ -176,12 +233,18 @@ const END: &str = "fingerprints>>>";
 /// processes numbered symbols differently.
 const PROBE: &str = "div";
 
+/// The child's decoy order: `ascending` or `descending`.
+const DECOY_ORDER: &str = "DETERMINISM_DECOY_ORDER";
+
 /// Child half of the test: decoys first, then the same fingerprints.
 #[test]
 #[ignore = "run as a child process by output_is_independent_of_interner_history"]
 fn fingerprints_after_decoy_interning() {
     let cases = cases();
-    intern_decoys(&cases);
+    intern_decoys(
+        &cases,
+        std::env::var(DECOY_ORDER).is_ok_and(|o| o == "descending"),
+    );
     let fingerprints = fingerprints(&cases);
     let probe = Symbol::lookup(PROBE).expect("probe interned").index();
     println!("\n{BEGIN}\n{probe}\n{fingerprints}\n{END}");
@@ -192,41 +255,47 @@ fn output_is_independent_of_interner_history() {
     let plain = fingerprints(&cases());
     let probe = Symbol::lookup(PROBE).expect("probe interned").index();
 
-    let child = Command::new(std::env::current_exe().expect("test binary"))
-        .args([
-            "fingerprints_after_decoy_interning",
-            "--exact",
-            "--ignored",
-            "--nocapture",
-            "--test-threads",
-            "1",
-        ])
-        .output()
-        .expect("spawn the decoy run");
-    let stdout = String::from_utf8_lossy(&child.stdout);
-    assert!(
-        child.status.success(),
-        "decoy run failed:\n{stdout}\n{}",
-        String::from_utf8_lossy(&child.stderr)
-    );
-    let start = stdout.find(BEGIN).expect("decoy run printed fingerprints") + BEGIN.len() + 1;
-    let end = stdout
-        .find(END)
-        .expect("decoy run finished its fingerprints");
-    let (child_probe, decoyed) = stdout[start..end]
-        .trim_end_matches('\n')
-        .split_once('\n')
-        .expect("probe line");
-    assert_ne!(
-        child_probe,
-        probe.to_string(),
-        "decoys did not change the numbering"
-    );
-    if plain != decoyed {
-        for (a, b) in plain.lines().zip(decoyed.lines()) {
-            assert_eq!(a, b, "first line that depends on interner history");
+    for order in ["ascending", "descending"] {
+        let child = Command::new(std::env::current_exe().expect("test binary"))
+            .args([
+                "fingerprints_after_decoy_interning",
+                "--exact",
+                "--ignored",
+                "--nocapture",
+                "--test-threads",
+                "1",
+            ])
+            .env(DECOY_ORDER, order)
+            .output()
+            .expect("spawn the decoy run");
+        let stdout = String::from_utf8_lossy(&child.stdout);
+        assert!(
+            child.status.success(),
+            "{order} decoy run failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&child.stderr)
+        );
+        let start = stdout.find(BEGIN).expect("decoy run printed fingerprints") + BEGIN.len() + 1;
+        let end = stdout
+            .find(END)
+            .expect("decoy run finished its fingerprints");
+        let (child_probe, decoyed) = stdout[start..end]
+            .trim_end_matches('\n')
+            .split_once('\n')
+            .expect("probe line");
+        assert_ne!(
+            child_probe,
+            probe.to_string(),
+            "{order} decoys did not change the numbering"
+        );
+        if plain != decoyed {
+            for (a, b) in plain.lines().zip(decoyed.lines()) {
+                assert_eq!(
+                    a, b,
+                    "first line that depends on interner history ({order} decoys)"
+                );
+            }
+            panic!("fingerprints differ in length ({order} decoys)");
         }
-        panic!("fingerprints differ in length");
     }
 }
 
